@@ -29,10 +29,10 @@ bool parse_common_args(int argc, char** argv, CommonArgs* out,
       out->precision = v;
     } else if (arg == "-f") {
       if (!(v = next())) return false;
-      out->max_fused = static_cast<unsigned>(parse_uint(v, "-f"));
+      out->fusion.max_fused_qubits = static_cast<unsigned>(parse_uint(v, "-f"));
     } else if (arg == "-w") {
       if (!(v = next())) return false;
-      out->window = static_cast<unsigned>(parse_uint(v, "-w"));
+      out->fusion.window_moments = static_cast<unsigned>(parse_uint(v, "-w"));
     } else if (arg == "-s") {
       if (!(v = next())) return false;
       out->seed = parse_uint(v, "-s");

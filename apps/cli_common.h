@@ -50,31 +50,6 @@ struct CommonArgs {
   // Backend to degrade onto when the primary keeps failing (engine/batch
   // mode only); empty = fail the request instead.
   std::string fallback_backend;
-
-  // Deprecated aliases of fusion.* (DESIGN.md §13 migration note); they are
-  // references into `fusion`, hence the hand-written copy operations.
-  unsigned& max_fused = fusion.max_fused_qubits;
-  unsigned& window = fusion.window_moments;
-
-  CommonArgs() = default;
-  CommonArgs(const CommonArgs& o)
-      : circuit_file(o.circuit_file), backend(o.backend),
-        precision(o.precision), trace_file(o.trace_file), fusion(o.fusion),
-        seed(o.seed), samples(o.samples), optimize(o.optimize),
-        fault_spec(o.fault_spec), fallback_backend(o.fallback_backend) {}
-  CommonArgs& operator=(const CommonArgs& o) {
-    circuit_file = o.circuit_file;
-    backend = o.backend;
-    precision = o.precision;
-    trace_file = o.trace_file;
-    fusion = o.fusion;
-    seed = o.seed;
-    samples = o.samples;
-    optimize = o.optimize;
-    fault_spec = o.fault_spec;
-    fallback_backend = o.fallback_backend;
-    return *this;
-  }
 };
 
 // Pulls the next argv token for a flag value; nullptr when argv is exhausted.

@@ -128,8 +128,13 @@ int run_single(const Args& a, const Circuit& circuit, Tracer* tracer) {
   std::printf("fused %zu gates -> %zu (mean width %.2f) in %.3f ms\n",
               fused.stats.input_gates, fused.stats.output_gates,
               fused.stats.mean_width(), fuse_s * 1e3);
-  std::printf("simulation: %.3f s (emulated device; not hardware time)\n",
-              total_s - fuse_s);
+  // Virtual-GPU backends report emulated time; host backends are real time.
+  const BackendSpec::Kind kind = BackendSpec::parse(a.common.backend).kind;
+  const bool emulated = kind == BackendSpec::Kind::kHip ||
+                        kind == BackendSpec::Kind::kA100 ||
+                        kind == BackendSpec::Kind::kMultiGcd;
+  std::printf("simulation: %.3f s%s\n", total_s - fuse_s,
+              emulated ? " (emulated device; not hardware time)" : "");
   for (const auto& [name, value] : out.counters) {
     std::printf("  %s = %.0f\n", name.c_str(), value);
   }
@@ -189,8 +194,9 @@ int run_batch(const Args& a, const Circuit& circuit, Tracer* tracer) {
               static_cast<unsigned long long>(m.result_cache_hits),
               static_cast<unsigned long long>(m.pool_hits),
               static_cast<double>(m.bytes_pooled) / (1 << 20));
-  std::printf("latency: p50 %.3f ms, p95 %.3f ms, mean %.3f ms\n", m.p50_ms,
-              m.p95_ms, m.mean_ms);
+  std::printf("latency: p50 %.3f ms, p95 %.3f ms, mean %.3f ms\n",
+              m.total_ms.quantile(0.50), m.total_ms.quantile(0.95),
+              m.total_ms.mean());
   if (m.planner_decisions > 0) {
     std::string chosen;
     for (const auto& [spec, n] : m.planner_chosen) {

@@ -14,10 +14,14 @@
 //   engine      SimulationEngine serving config: identical requests beyond
 //               the first are answered from the result cache
 //
-// Acceptance: engine serves N requests >= 1.3x faster than the cold
-// per-request path, with bit-identical samples for the fixed seed. The cold
+// The headline is the engine-sim speedup: every request still simulated,
+// so it measures what caching fused circuits and pooling buffers buys. The
+// engine leg is reported second and labeled as cache hits, since after the
+// first request it replays stored results. Acceptance: the cache-hit leg
+// serves N requests >= 1.3x faster than the cold per-request path, with
+// bit-identical samples for the fixed seed across all three legs. The cold
 // and engine-sim legs are measured over a smaller sample (their per-request
-// cost is flat) and reported as per-request means; the comparison uses
+// cost is flat) and reported as per-request means; the comparisons use
 // those means scaled to N — printed transparently below.
 //
 // A second mode compares the planner against static placement:
@@ -398,7 +402,7 @@ int main(int argc, char** argv) {
               "f=3, 64 samples each\n\n", n_requests);
 
   RunOptions ropts;
-  ropts.max_fused_qubits = 3;
+  ropts.fusion.max_fused_qubits = 3;
   ropts.seed = 42;
   ropts.num_samples = 64;
 
@@ -417,7 +421,7 @@ int main(int argc, char** argv) {
   engine::SimRequest req;
   req.circuit = circuit;
   req.backend = "hip";
-  req.fusion.max_fused_qubits = ropts.max_fused_qubits;
+  req.fusion = ropts.fusion;
   req.seed = ropts.seed;
   req.num_samples = ropts.num_samples;
 
@@ -460,22 +464,26 @@ int main(int argc, char** argv) {
     std::printf("engine      %8.3f s / request (%zu requests in %.3f s; "
                 "%llu result-cache hits, p50 %.2f ms)\n\n",
                 engine_total / n_requests, n_requests, engine_total,
-                static_cast<unsigned long long>(m.result_cache_hits), m.p50_ms);
+                static_cast<unsigned long long>(m.result_cache_hits),
+                m.total_ms.quantile(0.50));
   }
 
   const double cold_total_est = cold_per_req * n_requests;
   const double speedup = cold_total_est / engine_total;
   const double sim_speedup = cold_per_req / sim_per_req;
-  std::printf("throughput: engine %.1fx vs cold (%.3f s est. cold total / "
-              "%.3f s engine)\n", speedup, cold_total_est, engine_total);
-  std::printf("            engine-sim %.2fx vs cold with the result cache "
-              "bypassed\n", sim_speedup);
+  std::printf("throughput: engine-sim %.2fx vs cold (every request "
+              "simulated; result cache bypassed)\n", sim_speedup);
+  std::printf("            cache hits %.1fx vs cold (%.3f s est. cold total / "
+              "%.3f s engine; repeats served from the result cache)\n",
+              speedup, cold_total_est, engine_total);
   std::printf("samples: bit-identical across cold, engine-sim, and engine "
               "(seed %llu)\n\n",
               static_cast<unsigned long long>(ropts.seed));
 
   std::printf("reproduction checks:\n");
-  check(speedup >= 1.3, "engine serves repeated requests >= 1.3x faster");
-  std::printf("  [ok] engine serves repeated requests >= 1.3x faster\n");
+  check(speedup >= 1.3,
+        "result cache serves repeated requests >= 1.3x faster");
+  std::printf("  [ok] result cache serves repeated requests >= 1.3x "
+              "faster\n");
   return 0;
 }

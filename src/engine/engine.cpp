@@ -8,6 +8,7 @@
 #include <cmath>
 #include <fstream>
 #include <optional>
+#include <string_view>
 #include <thread>
 #include <utility>
 
@@ -116,8 +117,8 @@ std::string canonical_request_summary(const SimRequest& req) {
   s.reserve(64 + req.circuit.gates.size() * 96);
   app_str(s, req.backend);
   app_u64(s, req.precision == Precision::kSingle ? 1 : 2);
-  app_u64(s, req.max_fused);
-  app_u64(s, req.window);
+  app_u64(s, req.fusion.max_fused_qubits);
+  app_u64(s, req.fusion.window_moments);
   app_u64(s, req.seed);
   app_u64(s, req.num_samples);
   app_u64(s, req.amplitude_indices.size());
@@ -242,7 +243,6 @@ SimulationEngine::SimulationEngine(EngineOptions opt)
   // The header promises "min 1"; clamp the stored options so options()
   // reports what actually runs and num_workers = 0 cannot deadlock submit.
   opt_.num_workers = std::max(1u, opt_.num_workers);
-  latency_res_ = prof::LatencyReservoir(opt_.latency_window);
   if (opt_.flight_recorder_capacity > 0) {
     prof::FlightRecorderOptions fro;
     fro.capacity = opt_.flight_recorder_capacity;
@@ -345,7 +345,7 @@ std::uint64_t SimulationEngine::submit_job(Job&& job) {
   const std::uint64_t submit_us = job.submit_us;
   {
     std::lock_guard lk(metrics_mu_);
-    ++submitted_;
+    ++metrics_.submitted;
   }
   bool reject_now = false;
   std::string why;
@@ -439,37 +439,11 @@ void SimulationEngine::adjust_load(const std::string& spec, double delta) {
   v = std::max(0.0, v + delta);
 }
 
-std::uint64_t SimulationEngine::result_key(const SimRequest& req,
-                                           std::uint64_t circuit_hash) {
-  std::uint64_t h = circuit_hash;
-  for (char c : req.backend) mix(h, static_cast<unsigned char>(c));
-  mix(h, req.precision == Precision::kSingle ? 1 : 2);
-  mix(h, req.max_fused);
-  mix(h, req.window);
-  mix(h, req.seed);
-  mix(h, req.num_samples);
-  mix(h, req.amplitude_indices.size());
-  for (index_t i : req.amplitude_indices) mix(h, static_cast<std::uint64_t>(i));
-  mix(h, req.want_state ? 1 : 0);
-  mix(h, static_cast<std::uint64_t>(req.kind));
-  mix(h, req.num_trajectories);
-  mix(h, std::bit_cast<std::uint64_t>(req.trajectory_tolerance));
-  for (char c : req.noise.channel.name) mix(h, static_cast<unsigned char>(c));
-  mix(h, req.noise.channel.ops.size());
-  for (const CMatrix& k : req.noise.channel.ops) {
-    for (const cplx64& v : k.data()) {
-      mix(h, std::bit_cast<std::uint64_t>(v.real()));
-      mix(h, std::bit_cast<std::uint64_t>(v.imag()));
-    }
-  }
-  mix(h, req.observable.strings.size());
-  for (const obs::PauliString& p : req.observable.strings) {
-    mix(h, std::bit_cast<std::uint64_t>(p.coefficient.real()));
-    mix(h, std::bit_cast<std::uint64_t>(p.coefficient.imag()));
-    for (const obs::PauliTerm& t : p.terms) {
-      mix(h, t.qubit);
-      mix(h, static_cast<std::uint64_t>(t.op));
-    }
+std::uint64_t SimulationEngine::result_key(const std::string& summary) {
+  std::uint64_t h = 0xcbf29ce484222325ull;  // FNV-1a, like hash_circuit
+  for (const unsigned char c : summary) {
+    h ^= c;
+    h *= 0x100000001b3ull;
   }
   return h;
 }
@@ -477,9 +451,9 @@ std::uint64_t SimulationEngine::result_key(const SimRequest& req,
 void SimulationEngine::count_fault(SimErrorCode code) {
   std::lock_guard lk(metrics_mu_);
   switch (code) {
-    case SimErrorCode::kOutOfMemory: ++faults_oom_; break;
-    case SimErrorCode::kBackendFault: ++faults_backend_; break;
-    case SimErrorCode::kDeadlineExceeded: ++faults_deadline_; break;
+    case SimErrorCode::kOutOfMemory: ++metrics_.faults_oom; break;
+    case SimErrorCode::kBackendFault: ++metrics_.faults_backend; break;
+    case SimErrorCode::kDeadlineExceeded: ++metrics_.faults_deadline; break;
     default: break;
   }
 }
@@ -602,7 +576,7 @@ SimResult SimulationEngine::execute_with_retries(const SimRequest& q,
         }
         {
           std::lock_guard lk(metrics_mu_);
-          ++retries_;
+          ++metrics_.retries;
         }
         if (backoff > 0) {
           std::this_thread::sleep_for(std::chrono::duration<double>(backoff));
@@ -680,18 +654,16 @@ void SimulationEngine::process(Job& job) {
       if (q.kind == RequestKind::kTrajectory) q.noise.channel.validate();
       if (q.kind == RequestKind::kExpectation) {
         std::lock_guard lk(metrics_mu_);
-        ++expectation_requests_;
+        ++metrics_.expectation_requests;
       }
-      // One circuit hash per request, shared by the result key and (for
-      // "auto") the plan-cache key — hashing the gate matrices is the most
-      // expensive per-request constant on small circuits.
-      const std::uint64_t chash = hash_circuit(q.circuit);
-      key = result_key(q, chash);
+      // One canonical summary per request: its hash is the result key and
+      // the bytes are the collision guard stored beside the cached result.
+      summary = canonical_request_summary(q);
+      key = result_key(summary);
       const bool cacheable =
           !q.bypass_result_cache && opt_.result_cache_capacity > 0;
       bool served = false;
       if (cacheable) {
-        summary = canonical_request_summary(q);
         std::unique_lock lk(results_mu_);
         for (;;) {
           auto it = result_index_.find(key);
@@ -741,7 +713,7 @@ void SimulationEngine::process(Job& job) {
             res.attempts = 0;
           } else {
             std::lock_guard mk(metrics_mu_);
-            ++coalesced_failures_;
+            ++metrics_.coalesced_failures;
           }
           served = true;
           break;
@@ -797,7 +769,7 @@ void SimulationEngine::process(Job& job) {
             const auto load_of = [this](const BackendSpec& s) {
               return queued_load(s.to_string());
             };
-            std::uint64_t plan_key = chash;
+            std::uint64_t plan_key = hash_circuit(q.circuit);
             mix(plan_key, q.precision == Precision::kSingle ? 1 : 2);
             mix(plan_key, q.fusion.window_moments);
             std::shared_ptr<const PlanChoice> hit;
@@ -849,7 +821,7 @@ void SimulationEngine::process(Job& job) {
                                       deadline, job.corr, &attempts);
             fell_back = true;
             std::lock_guard lk(metrics_mu_);
-            ++fallbacks_;
+            ++metrics_.fallbacks;
           }
           const double queued = res.queue_seconds;
           res = std::move(ex);
@@ -871,7 +843,6 @@ void SimulationEngine::process(Job& job) {
 
           if (res.ok && opt_.result_cache_capacity > 0 &&
               approx_result_bytes(res) <= kMaxCachedResultBytes) {
-            if (summary.empty()) summary = canonical_request_summary(q);
             std::lock_guard lk(results_mu_);
             auto it = result_index_.find(key);
             if (it != result_index_.end()) {
@@ -988,7 +959,7 @@ void SimulationEngine::launch_trajectory_batch(
   }
   {
     std::lock_guard lk(metrics_mu_);
-    ++trajectory_batches_;
+    ++metrics_.trajectory_batches;
   }
 
   const unsigned fan = static_cast<unsigned>(
@@ -1163,9 +1134,9 @@ void SimulationEngine::finalize_trajectory_batch(TrajectoryBatch& b) {
       }
     }
     std::lock_guard lk(metrics_mu_);
-    trajectories_run_ += b.executed;
-    if (b.early_stopped) ++trajectory_early_stops_;
-    hist_trajectories_per_batch_.record(static_cast<double>(k));
+    metrics_.trajectories_run += b.executed;
+    if (b.early_stopped) ++metrics_.trajectory_early_stops;
+    metrics_.trajectories_per_batch.record(static_cast<double>(k));
   }
   span("trajectory", b.corr, b.run_start_us,
        static_cast<std::uint64_t>(res.run_seconds * 1e6),
@@ -1219,38 +1190,35 @@ void SimulationEngine::record_done(const SimResult& res) {
   const std::size_t result_bytes = approx_result_bytes(res);
   {
     std::lock_guard lk(metrics_mu_);
-    const auto exemplar = [&](const char* stage, double ms) {
-      auto& e = slowest_[stage];
+    EngineMetrics& m = metrics_;
+    // Records one stage latency and keeps the slowest request as exemplar.
+    const auto stage = [&](prof::Histogram& h, const char* name, double ms) {
+      h.record(ms);
+      auto& e = m.exemplars[name];
       if (ms > e.ms) {
         e.ms = ms;
         e.request_id = res.request_id;
       }
     };
     if (res.ok) {
-      ++completed_;
-      latency_res_.record(res.total_seconds * 1e3);
-      hist_queue_ms_.record(res.queue_seconds * 1e3);
-      hist_total_ms_.record(res.total_seconds * 1e3);
-      hist_result_bytes_.record(static_cast<double>(result_bytes));
-      exemplar("queue", res.queue_seconds * 1e3);
-      exemplar("total", res.total_seconds * 1e3);
+      ++m.completed;
+      stage(m.queue_ms, "queue", res.queue_seconds * 1e3);
+      stage(m.total_ms, "total", res.total_seconds * 1e3);
+      m.result_bytes.record(static_cast<double>(result_bytes));
       if (!res.result_cache_hit) {
         // Stage latencies and fusion width only exist for actual runs; a
         // cache hit would record misleading zeros.
-        hist_fuse_ms_.record(res.fuse_seconds * 1e3);
-        hist_execute_ms_.record(res.run_seconds * 1e3);
-        exemplar("fuse", res.fuse_seconds * 1e3);
-        exemplar("execute", res.run_seconds * 1e3);
+        stage(m.fuse_ms, "fuse", res.fuse_seconds * 1e3);
+        stage(m.execute_ms, "execute", res.run_seconds * 1e3);
         if (res.sample_seconds > 0) {
-          hist_sample_ms_.record(res.sample_seconds * 1e3);
-          exemplar("sample", res.sample_seconds * 1e3);
+          stage(m.sample_ms, "sample", res.sample_seconds * 1e3);
         }
-        hist_fused_gates_.record(static_cast<double>(res.fusion.output_gates));
+        m.fused_gates.record(static_cast<double>(res.fusion.output_gates));
       }
     } else {
-      ++rejected_;
+      ++m.rejected;
     }
-    if (res.result_cache_hit) ++result_cache_hits_;
+    if (res.result_cache_hit) ++m.result_cache_hits;
   }
 
   // Flight-recorder publication: this is what moves the request's pending
@@ -1293,7 +1261,7 @@ void SimulationEngine::record_done(const SimResult& res) {
       std::lock_guard lk(metrics_mu_);
       breach = watchdog_->observe(static_cast<int>(res.kind) + 1,
                                   res.total_seconds * 1e3, res.ok, now_us);
-      if (breach) ++slo_breaches_;
+      if (breach) ++metrics_.slo_breaches;
     }
     if (breach) {
       const std::string path = trigger_snapshot(breach->reason);
@@ -1316,8 +1284,8 @@ std::string SimulationEngine::debug_text() const {
   if (watchdog_) {
     std::lock_guard lk(metrics_mu_);  // watchdog_ is driven under this lock
     out += watchdog_->status_text();
-    if (snapshots_written_ > 0) {
-      out += "  last snapshot: " + last_snapshot_path_ + "\n";
+    if (metrics_.snapshots_written > 0) {
+      out += "  last snapshot: " + metrics_.last_snapshot_path + "\n";
     }
   }
   return out;
@@ -1354,8 +1322,8 @@ std::string SimulationEngine::trigger_snapshot(const std::string& reason,
   std::uint64_t written;
   {
     std::lock_guard lk(metrics_mu_);
-    written = ++snapshots_written_;
-    last_snapshot_path_ = trace_path;
+    written = ++metrics_.snapshots_written;
+    metrics_.last_snapshot_path = trace_path;
   }
   if (trace_ != nullptr) {
     trace_->set_counter("engine/snapshots_written",
@@ -1365,40 +1333,9 @@ std::string SimulationEngine::trigger_snapshot(const std::string& reason,
 }
 
 EngineMetrics SimulationEngine::metrics() const {
-  EngineMetrics m;
-  {
-    std::lock_guard lk(metrics_mu_);
-    m.submitted = submitted_;
-    m.completed = completed_;
-    m.rejected = rejected_;
-    m.result_cache_hits = result_cache_hits_;
-    m.retries = retries_;
-    m.fallbacks = fallbacks_;
-    m.coalesced_failures = coalesced_failures_;
-    m.faults_oom = faults_oom_;
-    m.faults_backend = faults_backend_;
-    m.faults_deadline = faults_deadline_;
-    m.expectation_requests = expectation_requests_;
-    m.trajectory_batches = trajectory_batches_;
-    m.trajectories_run = trajectories_run_;
-    m.trajectory_early_stops = trajectory_early_stops_;
-    m.trajectories_per_batch = hist_trajectories_per_batch_;
-    const std::vector<double> lat = latency_res_.sorted();
-    m.p50_ms = prof::percentile_sorted(lat, 0.50);
-    m.p95_ms = prof::percentile_sorted(lat, 0.95);
-    m.mean_ms = latency_res_.mean();
-    m.slo_breaches = slo_breaches_;
-    m.snapshots_written = snapshots_written_;
-    m.last_snapshot_path = last_snapshot_path_;
-    m.exemplars = slowest_;
-    m.queue_ms = hist_queue_ms_;
-    m.fuse_ms = hist_fuse_ms_;
-    m.execute_ms = hist_execute_ms_;
-    m.sample_ms = hist_sample_ms_;
-    m.total_ms = hist_total_ms_;
-    m.fused_gates = hist_fused_gates_;
-    m.result_bytes = hist_result_bytes_;
-  }
+  std::unique_lock lk(metrics_mu_);
+  EngineMetrics m = metrics_;
+  lk.unlock();
   m.fused_cache = fused_cache_.stats();
   if (planner_) {
     const PlannerStats ps = planner_->stats();
@@ -1411,7 +1348,7 @@ EngineMetrics SimulationEngine::metrics() const {
     m.planner_calibration = ps.calibration;
   }
   {
-    std::lock_guard lk(backends_mu_);
+    std::lock_guard blk(backends_mu_);
     m.backends_created = backends_.size();
     for (const auto& [key, slot] : backends_) {
       const PoolStats ps = slot->backend->pool_stats();
@@ -1426,6 +1363,131 @@ EngineMetrics SimulationEngine::metrics() const {
 }
 
 namespace {
+
+// The one definition of every scalar engine metric: to_prom_text() renders
+// each row as the qhip_engine_<name> family, to_trace_counters() as the
+// engine/<name> counter. Adding a metric is one EngineMetrics field plus
+// one row here.
+struct ScalarMetric {
+  const char* name;
+  const char* type;  // Prometheus type: "counter" or "gauge"
+  const char* help;
+  double (*get)(const EngineMetrics&);
+};
+
+template <auto Field>
+double field(const EngineMetrics& m) {
+  return static_cast<double>(m.*Field);
+}
+
+constexpr ScalarMetric kScalarMetrics[] = {
+    {"requests_submitted", "counter", "Requests submitted",
+     field<&EngineMetrics::submitted>},
+    {"requests_completed", "counter", "Requests served ok",
+     field<&EngineMetrics::completed>},
+    {"requests_rejected", "counter", "Requests failed or rejected",
+     field<&EngineMetrics::rejected>},
+    {"result_cache_hits", "counter",
+     "Requests served from the result cache or a coalesced flight",
+     field<&EngineMetrics::result_cache_hits>},
+    {"retries", "counter", "Backend run retries",
+     field<&EngineMetrics::retries>},
+    {"fallbacks", "counter", "Requests degraded to the fallback backend",
+     field<&EngineMetrics::fallbacks>},
+    {"coalesced_failures", "counter", "Waiters served a propagated failure",
+     field<&EngineMetrics::coalesced_failures>},
+    {"faults_oom", "counter", "Out-of-memory attempt failures",
+     field<&EngineMetrics::faults_oom>},
+    {"faults_backend", "counter", "Device-fault attempt failures",
+     field<&EngineMetrics::faults_backend>},
+    {"faults_deadline", "counter", "Deadline expiries",
+     field<&EngineMetrics::faults_deadline>},
+    {"expectation_requests", "counter", "Expectation-kind requests admitted",
+     field<&EngineMetrics::expectation_requests>},
+    {"trajectory_batches", "counter", "Trajectory batches launched",
+     field<&EngineMetrics::trajectory_batches>},
+    {"trajectories_run", "counter",
+     "Individual trajectories executed (including any discarded past an "
+     "early stop)",
+     field<&EngineMetrics::trajectories_run>},
+    {"trajectory_early_stops", "counter",
+     "Trajectory batches stopped early by tolerance",
+     field<&EngineMetrics::trajectory_early_stops>},
+    {"fused_cache_hit_rate", "gauge", "Fused-circuit cache hit rate",
+     [](const EngineMetrics& m) { return m.fused_cache.hit_rate(); }},
+    {"fused_cache_entries", "gauge", "Fused circuits held in the cache",
+     [](const EngineMetrics& m) {
+       return static_cast<double>(m.fused_cache.entries);
+     }},
+    {"fused_cache_bytes", "gauge",
+     "Matrix payload bytes of the cached fused circuits",
+     [](const EngineMetrics& m) {
+       return static_cast<double>(m.fused_cache.approx_bytes);
+     }},
+    {"pool_hits", "counter", "State-buffer pool hits",
+     field<&EngineMetrics::pool_hits>},
+    {"pool_misses", "counter", "State-buffer pool misses",
+     field<&EngineMetrics::pool_misses>},
+    {"pool_discarded", "counter", "State buffers dropped by the pools",
+     field<&EngineMetrics::pool_discarded>},
+    {"bytes_pooled", "gauge", "Bytes parked in pools",
+     field<&EngineMetrics::bytes_pooled>},
+    {"buffers_pooled", "gauge", "Buffers parked in pools",
+     field<&EngineMetrics::buffers_pooled>},
+    {"backends_created", "gauge", "Live backend instances",
+     field<&EngineMetrics::backends_created>},
+    {"planner_decisions", "counter", "Auto-placement decisions made",
+     field<&EngineMetrics::planner_decisions>},
+    {"planner_calibrated_decisions", "counter",
+     "Decisions that used a learned calibration factor",
+     field<&EngineMetrics::planner_calibrated_decisions>},
+    {"planner_observations", "counter", "Calibration observations recorded",
+     field<&EngineMetrics::planner_observations>},
+    {"planner_predicted_seconds_total", "counter",
+     "Calibrated predicted seconds over planner decisions",
+     field<&EngineMetrics::planner_predicted_seconds>},
+    {"planner_observed_seconds_total", "counter",
+     "Observed execute seconds fed to calibration",
+     field<&EngineMetrics::planner_observed_seconds>},
+    {"slo_breaches", "counter",
+     "SLO watchdog breaches (each one armed a snapshot trigger)",
+     field<&EngineMetrics::slo_breaches>},
+    {"snapshots_written", "counter",
+     "Flight-recorder snapshots written to the snapshot dir",
+     field<&EngineMetrics::snapshots_written>},
+};
+
+// The histograms: Prometheus family qhip_engine_<family> (the stage
+// latencies share one family under a stage="..." label), trace counters
+// engine/hist/<key>/le_<bound>.
+struct HistogramMetric {
+  const char* key;
+  const char* family;
+  const char* stage;  // stage label value; nullptr for unlabeled families
+  const char* help;
+  prof::Histogram EngineMetrics::*hist;
+};
+
+constexpr const char* kStageHelp = "Per-stage request latency";
+constexpr HistogramMetric kHistogramMetrics[] = {
+    {"queue_ms", "stage_latency_ms", "queue", kStageHelp,
+     &EngineMetrics::queue_ms},
+    {"fuse_ms", "stage_latency_ms", "fuse", kStageHelp,
+     &EngineMetrics::fuse_ms},
+    {"execute_ms", "stage_latency_ms", "execute", kStageHelp,
+     &EngineMetrics::execute_ms},
+    {"sample_ms", "stage_latency_ms", "sample", kStageHelp,
+     &EngineMetrics::sample_ms},
+    {"total_ms", "stage_latency_ms", "total", kStageHelp,
+     &EngineMetrics::total_ms},
+    {"fused_gates", "fused_gates", nullptr,
+     "Fused gates per executed request", &EngineMetrics::fused_gates},
+    {"result_bytes", "result_bytes", nullptr,
+     "Result payload bytes per request", &EngineMetrics::result_bytes},
+    {"trajectories_per_batch", "trajectories_per_batch", nullptr,
+     "Accumulated trajectories per served batch",
+     &EngineMetrics::trajectories_per_batch},
+};
 
 // Trims the trailing zeros strfmt("%g") would not produce; bucket bounds
 // like 0.08 and 81.92 stay short and stable across platforms.
@@ -1455,87 +1517,16 @@ void prom_histogram(std::string& out, const std::string& family,
                 static_cast<unsigned long long>(h.count()));
 }
 
-void prom_counter(std::string& out, const char* name, const char* help,
-                  const char* type, double v) {
-  out += strfmt("# HELP %s %s\n# TYPE %s %s\n%s %.9g\n", name, help, name,
-                type, name, v);
-}
-
 }  // namespace
 
 std::string EngineMetrics::to_prom_text() const {
   std::string out;
-  out.reserve(4096);
-  prom_counter(out, "qhip_engine_requests_submitted", "Requests submitted",
-               "counter", static_cast<double>(submitted));
-  prom_counter(out, "qhip_engine_requests_completed", "Requests served ok",
-               "counter", static_cast<double>(completed));
-  prom_counter(out, "qhip_engine_requests_rejected",
-               "Requests failed or rejected", "counter",
-               static_cast<double>(rejected));
-  prom_counter(out, "qhip_engine_result_cache_hits",
-               "Requests served from the result cache or a coalesced flight",
-               "counter", static_cast<double>(result_cache_hits));
-  prom_counter(out, "qhip_engine_retries", "Backend run retries", "counter",
-               static_cast<double>(retries));
-  prom_counter(out, "qhip_engine_fallbacks",
-               "Requests degraded to the fallback backend", "counter",
-               static_cast<double>(fallbacks));
-  prom_counter(out, "qhip_engine_coalesced_failures",
-               "Waiters served a propagated failure", "counter",
-               static_cast<double>(coalesced_failures));
-  prom_counter(out, "qhip_engine_faults_oom", "Out-of-memory attempt failures",
-               "counter", static_cast<double>(faults_oom));
-  prom_counter(out, "qhip_engine_faults_backend",
-               "Device-fault attempt failures", "counter",
-               static_cast<double>(faults_backend));
-  prom_counter(out, "qhip_engine_faults_deadline", "Deadline expiries",
-               "counter", static_cast<double>(faults_deadline));
-  prom_counter(out, "qhip_engine_expectation_requests",
-               "Expectation-kind requests admitted", "counter",
-               static_cast<double>(expectation_requests));
-  prom_counter(out, "qhip_engine_trajectory_batches",
-               "Trajectory batches launched", "counter",
-               static_cast<double>(trajectory_batches));
-  prom_counter(out, "qhip_engine_trajectories_run",
-               "Individual trajectories executed (including any discarded "
-               "past an early stop)",
-               "counter", static_cast<double>(trajectories_run));
-  prom_counter(out, "qhip_engine_trajectory_early_stops",
-               "Trajectory batches stopped early by tolerance", "counter",
-               static_cast<double>(trajectory_early_stops));
-  prom_counter(out, "qhip_engine_fused_cache_hit_rate",
-               "Fused-circuit cache hit rate", "gauge",
-               fused_cache.hit_rate());
-  prom_counter(out, "qhip_engine_pool_hits", "State-buffer pool hits",
-               "counter", static_cast<double>(pool_hits));
-  prom_counter(out, "qhip_engine_pool_misses", "State-buffer pool misses",
-               "counter", static_cast<double>(pool_misses));
-  prom_counter(out, "qhip_engine_pool_discarded",
-               "State buffers dropped by the pools", "counter",
-               static_cast<double>(pool_discarded));
-  prom_counter(out, "qhip_engine_bytes_pooled", "Bytes parked in pools",
-               "gauge", static_cast<double>(bytes_pooled));
-  prom_counter(out, "qhip_engine_buffers_pooled", "Buffers parked in pools",
-               "gauge", static_cast<double>(buffers_pooled));
-  prom_counter(out, "qhip_engine_backends_created", "Live backend instances",
-               "gauge", static_cast<double>(backends_created));
-
-  prom_counter(out, "qhip_engine_planner_decisions",
-               "Auto-placement decisions made", "counter",
-               static_cast<double>(planner_decisions));
-  prom_counter(out, "qhip_engine_planner_calibrated_decisions",
-               "Decisions that used a learned calibration factor", "counter",
-               static_cast<double>(planner_calibrated_decisions));
-  prom_counter(out, "qhip_engine_planner_observations",
-               "Calibration observations recorded", "counter",
-               static_cast<double>(planner_observations));
-  prom_counter(out, "qhip_engine_planner_predicted_seconds_total",
-               "Calibrated predicted seconds over planner decisions",
-               "counter", planner_predicted_seconds);
-  prom_counter(out, "qhip_engine_planner_observed_seconds_total",
-               "Observed execute seconds fed to calibration", "counter",
-               planner_observed_seconds);
+  out.reserve(16384);
+  for (const ScalarMetric& s : kScalarMetrics) {
+    out += strfmt("# HELP qhip_engine_%s %s\n# TYPE qhip_engine_%s %s\n"
+                  "qhip_engine_%s %.9g\n",
+                  s.name, s.help, s.name, s.type, s.name, s.get(*this));
+  }
   if (!planner_chosen.empty()) {
     out += "# HELP qhip_engine_planner_chosen Auto placements by backend\n";
     out += "# TYPE qhip_engine_planner_chosen counter\n";
@@ -1563,123 +1554,61 @@ std::string EngineMetrics::to_prom_text() const {
     }
   }
 
-  prom_counter(out, "qhip_engine_slo_breaches",
-               "SLO watchdog breaches (each one armed a snapshot trigger)",
-               "counter", static_cast<double>(slo_breaches));
-  prom_counter(out, "qhip_engine_snapshots_written",
-               "Flight-recorder snapshots written to the snapshot dir",
-               "counter", static_cast<double>(snapshots_written));
-
-  out += "# HELP qhip_engine_stage_latency_ms Per-stage request latency\n";
-  out += "# TYPE qhip_engine_stage_latency_ms histogram\n";
-  const std::pair<const char*, const prof::Histogram*> stages[] = {
-      {"queue", &queue_ms},   {"fuse", &fuse_ms}, {"execute", &execute_ms},
-      {"sample", &sample_ms}, {"total", &total_ms}};
-  for (const auto& [stage, h] : stages) {
-    prom_histogram(out, "qhip_engine_stage_latency_ms",
-                   strfmt("stage=\"%s\"", stage), *h);
+  std::string_view family;
+  for (const HistogramMetric& hm : kHistogramMetrics) {
+    const std::string name = std::string("qhip_engine_") + hm.family;
+    if (family != hm.family) {
+      family = hm.family;
+      out += strfmt("# HELP %s %s\n# TYPE %s histogram\n", name.c_str(),
+                    hm.help, name.c_str());
+    }
+    if (hm.stage == nullptr) {
+      prom_histogram(out, name, "", this->*hm.hist);
+      continue;
+    }
+    prom_histogram(out, name, strfmt("stage=\"%s\"", hm.stage), this->*hm.hist);
     // Exemplar-style annotation: text-format 0.0.4 has no native exemplars,
     // so the slowest request behind each stage family rides along as a
     // comment line scrapers ignore and humans grep (corr resolves in
     // /debug/requests or any flight-recorder snapshot).
-    if (const auto it = exemplars.find(stage); it != exemplars.end()) {
+    if (const auto it = exemplars.find(hm.stage); it != exemplars.end()) {
       out += strfmt(
-          "# EXEMPLAR qhip_engine_stage_latency_ms{stage=\"%s\"} corr=%llu "
-          "value_ms=%.9g\n",
-          stage, static_cast<unsigned long long>(it->second.request_id),
+          "# EXEMPLAR %s{stage=\"%s\"} corr=%llu value_ms=%.9g\n",
+          name.c_str(), hm.stage,
+          static_cast<unsigned long long>(it->second.request_id),
           it->second.ms);
     }
   }
-  out += "# HELP qhip_engine_fused_gates Fused gates per executed request\n";
-  out += "# TYPE qhip_engine_fused_gates histogram\n";
-  prom_histogram(out, "qhip_engine_fused_gates", "", fused_gates);
-  out += "# HELP qhip_engine_result_bytes Result payload bytes per request\n";
-  out += "# TYPE qhip_engine_result_bytes histogram\n";
-  prom_histogram(out, "qhip_engine_result_bytes", "", result_bytes);
-  out += "# HELP qhip_engine_trajectories_per_batch "
-         "Accumulated trajectories per served batch\n";
-  out += "# TYPE qhip_engine_trajectories_per_batch histogram\n";
-  prom_histogram(out, "qhip_engine_trajectories_per_batch", "",
-                 trajectories_per_batch);
   return out;
 }
 
-void SimulationEngine::export_metrics() const {
-  if (opt_.tracer == nullptr) return;
-  const EngineMetrics m = metrics();
-  Tracer& t = *opt_.tracer;
-  t.set_counter("engine/requests_submitted", static_cast<double>(m.submitted));
-  t.set_counter("engine/requests_completed", static_cast<double>(m.completed));
-  t.set_counter("engine/requests_rejected", static_cast<double>(m.rejected));
-  t.set_counter("engine/result_cache_hits",
-                static_cast<double>(m.result_cache_hits));
-  t.set_counter("engine/retries", static_cast<double>(m.retries));
-  t.set_counter("engine/fallbacks", static_cast<double>(m.fallbacks));
-  t.set_counter("engine/coalesced_failures",
-                static_cast<double>(m.coalesced_failures));
-  t.set_counter("engine/faults_oom", static_cast<double>(m.faults_oom));
-  t.set_counter("engine/faults_backend", static_cast<double>(m.faults_backend));
-  t.set_counter("engine/faults_deadline",
-                static_cast<double>(m.faults_deadline));
-  t.set_counter("engine/expectation_requests",
-                static_cast<double>(m.expectation_requests));
-  t.set_counter("engine/trajectory_batches",
-                static_cast<double>(m.trajectory_batches));
-  t.set_counter("engine/trajectories_run",
-                static_cast<double>(m.trajectories_run));
-  t.set_counter("engine/trajectory_early_stops",
-                static_cast<double>(m.trajectory_early_stops));
-  t.set_counter("engine/fused_cache_hit_rate", m.fused_cache.hit_rate());
-  t.set_counter("engine/fused_cache_entries",
-                static_cast<double>(m.fused_cache.entries));
-  t.set_counter("engine/fused_cache_bytes",
-                static_cast<double>(m.fused_cache.approx_bytes));
-  t.set_counter("engine/pool_hits", static_cast<double>(m.pool_hits));
-  t.set_counter("engine/pool_misses", static_cast<double>(m.pool_misses));
-  t.set_counter("engine/pool_discarded", static_cast<double>(m.pool_discarded));
-  t.set_counter("engine/bytes_pooled", static_cast<double>(m.bytes_pooled));
-  t.set_counter("engine/buffers_pooled", static_cast<double>(m.buffers_pooled));
-  t.set_counter("engine/backends_created",
-                static_cast<double>(m.backends_created));
-  t.set_counter("engine/latency_p50_ms", m.p50_ms);
-  t.set_counter("engine/latency_p95_ms", m.p95_ms);
-  t.set_counter("engine/latency_mean_ms", m.mean_ms);
-  t.set_counter("engine/slo_breaches", static_cast<double>(m.slo_breaches));
-  t.set_counter("engine/snapshots_written",
-                static_cast<double>(m.snapshots_written));
-  t.set_counter("engine/planner/decisions",
-                static_cast<double>(m.planner_decisions));
-  t.set_counter("engine/planner/calibrated_decisions",
-                static_cast<double>(m.planner_calibrated_decisions));
-  t.set_counter("engine/planner/observations",
-                static_cast<double>(m.planner_observations));
-  t.set_counter("engine/planner/predicted_seconds",
-                m.planner_predicted_seconds);
-  t.set_counter("engine/planner/observed_seconds", m.planner_observed_seconds);
-  for (const auto& [spec, n] : m.planner_chosen) {
+void EngineMetrics::to_trace_counters(Tracer& t) const {
+  for (const ScalarMetric& s : kScalarMetrics) {
+    t.set_counter(std::string("engine/") + s.name, s.get(*this));
+  }
+  for (const auto& [spec, n] : planner_chosen) {
     t.set_counter("engine/planner/chosen/" + spec, static_cast<double>(n));
   }
-  for (const auto& [key, f] : m.planner_calibration) {
+  for (const auto& [key, f] : planner_calibration) {
     t.set_counter("engine/planner/calibration/" + key, f);
   }
   // Histogram buckets, one counter per non-empty bucket so the trace JSON
   // carries the full distributions next to the kernel timeline.
-  const std::pair<const char*, const prof::Histogram*> hists[] = {
-      {"queue_ms", &m.queue_ms},       {"fuse_ms", &m.fuse_ms},
-      {"execute_ms", &m.execute_ms},   {"sample_ms", &m.sample_ms},
-      {"total_ms", &m.total_ms},       {"fused_gates", &m.fused_gates},
-      {"result_bytes", &m.result_bytes},
-      {"trajectories_per_batch", &m.trajectories_per_batch}};
-  for (const auto& [name, h] : hists) {
-    for (std::size_t i = 0; i <= h->num_buckets(); ++i) {
-      if (h->bucket_count(i) == 0) continue;
-      const std::string le = i < h->num_buckets()
-                                 ? strfmt("%g", h->upper_bound(i))
+  for (const HistogramMetric& hm : kHistogramMetrics) {
+    const prof::Histogram& h = this->*hm.hist;
+    for (std::size_t i = 0; i <= h.num_buckets(); ++i) {
+      if (h.bucket_count(i) == 0) continue;
+      const std::string le = i < h.num_buckets()
+                                 ? bound_label(h.upper_bound(i))
                                  : std::string("inf");
-      t.set_counter(strfmt("engine/hist/%s/le_%s", name, le.c_str()),
-                    static_cast<double>(h->bucket_count(i)));
+      t.set_counter(strfmt("engine/hist/%s/le_%s", hm.key, le.c_str()),
+                    static_cast<double>(h.bucket_count(i)));
     }
   }
+}
+
+void SimulationEngine::export_metrics() const {
+  if (opt_.tracer != nullptr) metrics().to_trace_counters(*opt_.tracer);
 }
 
 }  // namespace qhip::engine

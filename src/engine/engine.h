@@ -33,10 +33,11 @@
 // feeds the observed execute time back into the calibration table — so
 // placement converges on the machine actually serving, not the paper's.
 //
-// Engine metrics (request counts, cache hit rates, latency percentiles over
-// a bounded reservoir, pooled bytes, retry/fallback/fault counters, planner
-// decisions and calibration factors) export as counters into the same
-// prof/trace JSON as the kernel timeline via export_metrics().
+// Engine metrics (request counts, cache hit rates, per-stage latency
+// histograms, pooled bytes, retry/fallback/fault counters, planner decisions
+// and calibration factors) export as counters into the same prof/trace JSON
+// as the kernel timeline via export_metrics(), and as Prometheus text via
+// EngineMetrics::to_prom_text() — both rendered from one metric table.
 #pragma once
 
 #include <atomic>
@@ -61,7 +62,6 @@
 #include "src/engine/watchdog.h"
 #include "src/prof/flight_recorder.h"
 #include "src/prof/histogram.h"
-#include "src/prof/reservoir.h"
 #include "src/prof/trace.h"
 
 namespace qhip::engine {
@@ -134,71 +134,6 @@ struct SimRequest {
   // stopping decision is made on the ordered trajectory prefix, so it is
   // deterministic regardless of worker scheduling.
   double trajectory_tolerance = 0;
-
-  // Deprecated aliases of fusion.max_fused_qubits / fusion.window_moments,
-  // kept for one release so `req.max_fused = 3` keeps compiling (migration
-  // note in DESIGN.md §13). They alias `fusion`, which is why the copy/move
-  // operations below are hand-written: the defaults would rebind-copy the
-  // *source's* references and dangle.
-  unsigned& max_fused = fusion.max_fused_qubits;
-  unsigned& window = fusion.window_moments;
-
-  SimRequest() = default;
-  SimRequest(const SimRequest& o)
-      : circuit(o.circuit), backend(o.backend), precision(o.precision),
-        fusion(o.fusion), seed(o.seed), num_samples(o.num_samples),
-        amplitude_indices(o.amplitude_indices), want_state(o.want_state),
-        timeout_seconds(o.timeout_seconds),
-        bypass_result_cache(o.bypass_result_cache), kind(o.kind),
-        observable(o.observable), noise(o.noise),
-        num_trajectories(o.num_trajectories),
-        trajectory_tolerance(o.trajectory_tolerance) {}
-  SimRequest(SimRequest&& o) noexcept
-      : circuit(std::move(o.circuit)), backend(std::move(o.backend)),
-        precision(o.precision), fusion(o.fusion), seed(o.seed),
-        num_samples(o.num_samples),
-        amplitude_indices(std::move(o.amplitude_indices)),
-        want_state(o.want_state), timeout_seconds(o.timeout_seconds),
-        bypass_result_cache(o.bypass_result_cache), kind(o.kind),
-        observable(std::move(o.observable)), noise(std::move(o.noise)),
-        num_trajectories(o.num_trajectories),
-        trajectory_tolerance(o.trajectory_tolerance) {}
-  SimRequest& operator=(const SimRequest& o) {
-    circuit = o.circuit;
-    backend = o.backend;
-    precision = o.precision;
-    fusion = o.fusion;
-    seed = o.seed;
-    num_samples = o.num_samples;
-    amplitude_indices = o.amplitude_indices;
-    want_state = o.want_state;
-    timeout_seconds = o.timeout_seconds;
-    bypass_result_cache = o.bypass_result_cache;
-    kind = o.kind;
-    observable = o.observable;
-    noise = o.noise;
-    num_trajectories = o.num_trajectories;
-    trajectory_tolerance = o.trajectory_tolerance;
-    return *this;
-  }
-  SimRequest& operator=(SimRequest&& o) noexcept {
-    circuit = std::move(o.circuit);
-    backend = std::move(o.backend);
-    precision = o.precision;
-    fusion = o.fusion;
-    seed = o.seed;
-    num_samples = o.num_samples;
-    amplitude_indices = std::move(o.amplitude_indices);
-    want_state = o.want_state;
-    timeout_seconds = o.timeout_seconds;
-    bypass_result_cache = o.bypass_result_cache;
-    kind = o.kind;
-    observable = std::move(o.observable);
-    noise = std::move(o.noise);
-    num_trajectories = o.num_trajectories;
-    trajectory_tolerance = o.trajectory_tolerance;
-    return *this;
-  }
 };
 
 struct SimResult {
@@ -264,10 +199,6 @@ struct EngineOptions {
   // engine creates (QHIP_FAULT_SPEC grammar; see src/vgpu/fault.h).
   std::string fault_spec;
 
-  // Completion-latency reservoir: metrics() keeps the most recent this-many
-  // samples, so a long-lived engine stays O(window) in memory and sort cost.
-  std::size_t latency_window = 4096;
-
   // Cost-model planner behind backend = "auto" (DESIGN.md §13). When
   // enabled, the engine owns a Planner that scores every candidate backend
   // against the calibrated roofline and current load, and calibrates online
@@ -320,13 +251,11 @@ struct EngineMetrics {
   std::size_t bytes_pooled = 0;
   std::size_t buffers_pooled = 0;
   std::size_t backends_created = 0;
-  double p50_ms = 0;   // completion latency percentiles (submit -> done)
-  double p95_ms = 0;   // (over the bounded latency reservoir)
-  double mean_ms = 0;
 
   // Fixed-bucket log-scale distributions over *all* completed (ok) requests
-  // since engine start — unlike the bounded reservoir above, these never
-  // forget and aggregate across engines (docs/OBSERVABILITY.md).
+  // since engine start: they never forget and aggregate across engines
+  // (docs/OBSERVABILITY.md). Completion-latency quantiles come from
+  // total_ms.quantile(p); the SLO watchdog keeps the windowed view.
   prof::Histogram queue_ms = prof::latency_ms_histogram();
   prof::Histogram fuse_ms = prof::latency_ms_histogram();
   prof::Histogram execute_ms = prof::latency_ms_histogram();
@@ -376,14 +305,20 @@ struct EngineMetrics {
   // histograms above as qhip_engine_* families, ready for a /metrics scrape
   // or `qsim_base_hip --prom` (field reference in docs/OBSERVABILITY.md).
   std::string to_prom_text() const;
+
+  // The same metrics as "engine/..." trace counters: every scalar
+  // qhip_engine_<name> family lands as engine/<name> with the same value,
+  // histograms as one engine/hist/<name>/le_<bound> counter per non-empty
+  // bucket.
+  void to_trace_counters(Tracer& t) const;
 };
 
 // Exact identity of a request's result: every field that affects the
 // simulation output, including the full per-gate circuit content (matrices
 // as bit-exact doubles). Two requests are interchangeable iff their
-// summaries are equal — the result cache stores this alongside the 64-bit
-// hash key and verifies it on every hit, so a hash collision can never
-// serve another request's payload.
+// summaries are equal — the result cache keys on a hash of these bytes
+// (SimulationEngine::result_key) and verifies the summary on every hit, so
+// a hash collision can never serve another request's payload.
 std::string canonical_request_summary(const SimRequest& req);
 
 class SimulationEngine {
@@ -439,6 +374,10 @@ class SimulationEngine {
   // passed at construction (no-op without one), so they serialize into the
   // Perfetto trace JSON next to the kernel events.
   void export_metrics() const;
+
+  // The result-cache key: FNV-1a over canonical_request_summary bytes, so
+  // the key and the collision guard encode exactly the same fields.
+  static std::uint64_t result_key(const std::string& summary);
 
   // The Tracer front-ends should install where they would use opt_.tracer:
   // the flight recorder's capture sink when the recorder is enabled
@@ -526,8 +465,6 @@ class SimulationEngine {
   // what the planner's queued_seconds hook reads for load-aware placement.
   double queued_load(const std::string& spec) const;
   void adjust_load(const std::string& spec, double delta);
-  static std::uint64_t result_key(const SimRequest& req,
-                                  std::uint64_t circuit_hash);
   void record_done(const SimResult& res);
   void count_fault(SimErrorCode code);
   static SimResult rejected(std::string why,
@@ -577,34 +514,11 @@ class SimulationEngine {
       result_index_;
   std::map<std::uint64_t, std::shared_ptr<Flight>> in_flight_;
 
+  // Running counters, histograms, watchdog bookkeeping and per-stage
+  // exemplars. metrics() copies this and fills the derived sections (fused
+  // cache, planner, pools, backends_created).
   mutable std::mutex metrics_mu_;
-  std::uint64_t submitted_ = 0, completed_ = 0, rejected_ = 0;
-  std::uint64_t result_cache_hits_ = 0;
-  std::uint64_t retries_ = 0, fallbacks_ = 0, coalesced_failures_ = 0;
-  std::uint64_t faults_oom_ = 0, faults_backend_ = 0, faults_deadline_ = 0;
-  // Completion latencies, fixed-capacity ring (opt_.latency_window);
-  // re-seated to the configured capacity in the constructor.
-  prof::LatencyReservoir latency_res_{0};
-  // Per-stage distributions over all ok results (guarded by metrics_mu_).
-  prof::Histogram hist_queue_ms_ = prof::latency_ms_histogram();
-  prof::Histogram hist_fuse_ms_ = prof::latency_ms_histogram();
-  prof::Histogram hist_execute_ms_ = prof::latency_ms_histogram();
-  prof::Histogram hist_sample_ms_ = prof::latency_ms_histogram();
-  prof::Histogram hist_total_ms_ = prof::latency_ms_histogram();
-  prof::Histogram hist_fused_gates_ = prof::count_histogram();
-  prof::Histogram hist_result_bytes_ = prof::bytes_histogram();
-  // Workload-kind counters (guarded by metrics_mu_).
-  std::uint64_t expectation_requests_ = 0;
-  std::uint64_t trajectory_batches_ = 0;
-  std::uint64_t trajectories_run_ = 0;
-  std::uint64_t trajectory_early_stops_ = 0;
-  prof::Histogram hist_trajectories_per_batch_ = prof::count_histogram();
-  // Watchdog/snapshot bookkeeping and per-stage slowest-request exemplars
-  // (guarded by metrics_mu_).
-  std::uint64_t slo_breaches_ = 0;
-  std::uint64_t snapshots_written_ = 0;
-  std::string last_snapshot_path_;
-  std::map<std::string, EngineMetrics::StageExemplar> slowest_;
+  EngineMetrics metrics_;
 };
 
 }  // namespace qhip::engine

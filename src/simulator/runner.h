@@ -21,22 +21,6 @@ struct RunOptions {
                                   // same type, DESIGN.md §13)
   std::uint64_t seed = 1;         // measurement + sampling seed
   std::size_t num_samples = 0;    // basis-state samples to draw at the end
-
-  // Deprecated aliases for one release: the pre-FusionOptions field names.
-  // They are references into `fusion`, so reads and writes stay coherent;
-  // the hand-written copy/move ops below rebind them to the destination.
-  unsigned& max_fused_qubits = fusion.max_fused_qubits;
-  unsigned& window_moments = fusion.window_moments;
-
-  RunOptions() = default;
-  RunOptions(const RunOptions& o)
-      : fusion(o.fusion), seed(o.seed), num_samples(o.num_samples) {}
-  RunOptions& operator=(const RunOptions& o) {
-    fusion = o.fusion;
-    seed = o.seed;
-    num_samples = o.num_samples;
-    return *this;
-  }
 };
 
 struct RunResult {

@@ -60,7 +60,7 @@ TEST(BackendFactory, IsBackendSpec) {
 TEST(Backend, CpuMatchesLegacyShimBitExact) {
   const Circuit c = make_rqc(2, 3, 10, 11);
   RunOptions opt;
-  opt.max_fused_qubits = 3;
+  opt.fusion.max_fused_qubits = 3;
   opt.seed = 42;
   opt.num_samples = 64;
 
@@ -80,7 +80,7 @@ TEST(Backend, CpuMatchesLegacyShimBitExact) {
 TEST(Backend, HipMatchesLegacyShimBitExact) {
   const Circuit c = make_rqc(2, 3, 10, 11);
   RunOptions opt;
-  opt.max_fused_qubits = 3;
+  opt.fusion.max_fused_qubits = 3;
   opt.seed = 42;
   opt.num_samples = 64;
 
@@ -88,7 +88,7 @@ TEST(Backend, HipMatchesLegacyShimBitExact) {
   hipsim::SimulatorHIP<float> sim(dev);
   hipsim::DeviceStateVector<float> ds(dev, c.num_qubits);
   sim.state_space().set_zero_state(ds);
-  const Circuit fused = fuse_circuit(c, {opt.max_fused_qubits}).circuit;
+  const Circuit fused = fuse_circuit(c, opt.fusion).circuit;
   std::vector<index_t> legacy_meas;
   sim.run(fused, ds, opt.seed, &legacy_meas);
   dev.synchronize();

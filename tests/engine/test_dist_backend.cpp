@@ -64,7 +64,7 @@ TEST(DistBackend, BitIdenticalWithCpuThroughEngine) {
 
   SimRequest base;
   base.circuit = c;
-  base.max_fused = 3;
+  base.fusion.max_fused_qubits = 3;
   base.seed = 5;
   base.num_samples = 128;
   base.amplitude_indices = {0, 1, 255, 65535};

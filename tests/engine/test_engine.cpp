@@ -1,15 +1,23 @@
 // SimulationEngine: result-cache bit-identity, buffer-pool reuse across
 // requests, concurrent==serial on two backends, graceful rejection
-// (engine cap, device memory, deadlines, queue bound), and metrics export.
+// (engine cap, device memory, deadlines, queue bound), metrics export, and
+// the one request identity behind the result-cache key.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <functional>
 #include <future>
+#include <limits>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "src/core/gates.h"
 #include "src/engine/backend.h"
 #include "src/engine/engine.h"
+#include "src/noise/channels.h"
+#include "src/obs/observable.h"
 #include "src/prof/trace.h"
 #include "src/prof/trace_reader.h"
 #include "src/rqc/rqc.h"
@@ -32,7 +40,7 @@ SimRequest request(const Circuit& c, const char* backend,
   SimRequest req;
   req.circuit = c;
   req.backend = backend;
-  req.max_fused = 3;
+  req.fusion.max_fused_qubits = 3;
   req.seed = seed;
   req.num_samples = 32;
   return req;
@@ -44,7 +52,7 @@ TEST(SimulationEngine, CacheHitIsBitIdenticalWithColdRun) {
   // Cold reference: a fresh backend with no engine in the loop.
   const auto cold_backend = create_backend("hip", Precision::kSingle);
   RunOptions opt;
-  opt.max_fused_qubits = 3;
+  opt.fusion.max_fused_qubits = 3;
   opt.seed = 42;
   opt.num_samples = 32;
   const RunResult cold = run_circuit(*cold_backend, c, opt);
@@ -239,8 +247,13 @@ TEST(SimulationEngine, ExportsMetricsIntoTrace) {
   ASSERT_FALSE(counters.empty());
   EXPECT_EQ(counters.at("engine/requests_completed"), 2.0);
   EXPECT_EQ(counters.at("engine/result_cache_hits"), 1.0);
-  EXPECT_GT(counters.at("engine/latency_p50_ms"), 0.0);
   EXPECT_GT(counters.at("engine/pool_misses"), 0.0);
+  // Completion latency travels as total_ms histogram buckets.
+  double total_ms_bucketed = 0;
+  for (const auto& [name, v] : counters) {
+    if (name.rfind("engine/hist/total_ms/le_", 0) == 0) total_ms_bucketed += v;
+  }
+  EXPECT_EQ(total_ms_bucketed, 2.0);
 
   const std::string json = tracer.to_perfetto_json();
   EXPECT_NE(json.find("engine/requests_completed"), std::string::npos);
@@ -248,7 +261,8 @@ TEST(SimulationEngine, ExportsMetricsIntoTrace) {
 
   const EngineMetrics m = eng.metrics();
   EXPECT_EQ(m.submitted, 2u);
-  EXPECT_GE(m.p95_ms, m.p50_ms);
+  EXPECT_GT(m.total_ms.quantile(0.50), 0.0);
+  EXPECT_GE(m.total_ms.quantile(0.95), m.total_ms.quantile(0.50));
 }
 
 TEST(SimulationEngine, EmitsFlowLinkedRequestSpans) {
@@ -300,6 +314,101 @@ TEST(SimulationEngine, EmitsFlowLinkedRequestSpans) {
             std::string::npos);
   EXPECT_NE(prom.find("stage=\"execute\""), std::string::npos);
   EXPECT_NE(prom.find("qhip_engine_fused_gates_count 3"), std::string::npos);
+}
+
+// The result-cache key is the hash of canonical_request_summary, so there is
+// one encoding of request identity: mutating any identity field moves both
+// the summary and the key, and the per-request knobs outside the identity
+// (deadline, cache bypass) move neither.
+TEST(SimulationEngine, EveryIdentityFieldChangesSummaryAndKey) {
+  Circuit c;
+  c.num_qubits = 3;
+  c.gates = {gates::controlled(gates::rx(0, 1, 0.25), {0}), gates::h(1, 2)};
+  SimRequest base = request(c, "cpu");
+  base.amplitude_indices = {1, 6};
+  base.noise.channel = noise::depolarizing(0.01);
+  base.num_trajectories = 8;
+  base.trajectory_tolerance = 0.125;
+  base.observable.strings = {obs::pauli_zz(0, 1, 0.5)};
+  const std::string s0 = canonical_request_summary(base);
+  const std::uint64_t k0 = SimulationEngine::result_key(s0);
+  ASSERT_EQ(canonical_request_summary(base), s0);  // deterministic
+
+  const auto nudge = [](cplx64& v) {
+    const double up = std::numeric_limits<double>::infinity();
+    v = cplx64(std::nextafter(v.real(), up), v.imag());
+  };
+  using Mutation = std::pair<const char*, std::function<void(SimRequest&)>>;
+  const std::vector<Mutation> identity = {
+      {"gate kind",
+       [](SimRequest& r) { r.circuit.gates[1].kind = GateKind::kMeasurement; }},
+      {"gate name", [](SimRequest& r) { r.circuit.gates[1].name = "x"; }},
+      {"gate time", [](SimRequest& r) { ++r.circuit.gates[1].time; }},
+      {"gate qubit", [](SimRequest& r) { r.circuit.gates[1].qubits[0] = 0; }},
+      {"gate control",
+       [](SimRequest& r) { r.circuit.gates[0].controls[0] = 2; }},
+      {"gate param", [](SimRequest& r) { r.circuit.gates[0].params[0] = 0.5; }},
+      {"gate matrix",
+       [&](SimRequest& r) { nudge(r.circuit.gates[1].matrix.data()[0]); }},
+      {"gate count", [](SimRequest& r) { r.circuit.gates.pop_back(); }},
+      {"num_qubits", [](SimRequest& r) { ++r.circuit.num_qubits; }},
+      {"backend", [](SimRequest& r) { r.backend = "hip"; }},
+      {"precision", [](SimRequest& r) { r.precision = Precision::kDouble; }},
+      {"fusion.max_fused_qubits",
+       [](SimRequest& r) { ++r.fusion.max_fused_qubits; }},
+      {"fusion.window_moments",
+       [](SimRequest& r) { ++r.fusion.window_moments; }},
+      {"seed", [](SimRequest& r) { ++r.seed; }},
+      {"num_samples", [](SimRequest& r) { ++r.num_samples; }},
+      {"amplitude index", [](SimRequest& r) { r.amplitude_indices[1] = 7; }},
+      {"amplitude count",
+       [](SimRequest& r) { r.amplitude_indices.pop_back(); }},
+      {"want_state", [](SimRequest& r) { r.want_state = true; }},
+      {"kind", [](SimRequest& r) { r.kind = RequestKind::kExpectation; }},
+      {"num_trajectories", [](SimRequest& r) { ++r.num_trajectories; }},
+      {"trajectory_tolerance",
+       [](SimRequest& r) { r.trajectory_tolerance *= 2; }},
+      {"noise channel name",
+       [](SimRequest& r) { r.noise.channel.name = "other"; }},
+      {"noise Kraus entry",
+       [&](SimRequest& r) { nudge(r.noise.channel.ops[0].data()[0]); }},
+      {"noise Kraus dim",
+       [](SimRequest& r) { r.noise.channel.ops[0] = CMatrix::identity(4); }},
+      {"noise Kraus count",
+       [](SimRequest& r) { r.noise.channel.ops.pop_back(); }},
+      {"observable coefficient",
+       [](SimRequest& r) { r.observable.strings[0].coefficient = 0.75; }},
+      {"observable term qubit",
+       [](SimRequest& r) { r.observable.strings[0].terms[1].qubit = 2; }},
+      {"observable term op",
+       [](SimRequest& r) {
+         r.observable.strings[0].terms[0].op = obs::Pauli::kX;
+       }},
+      {"observable term count",
+       [](SimRequest& r) { r.observable.strings[0].terms.pop_back(); }},
+      {"observable string count",
+       [](SimRequest& r) { r.observable.strings.push_back(obs::pauli_z(2)); }},
+  };
+  for (const auto& [what, mutate] : identity) {
+    SimRequest other = base;
+    mutate(other);
+    const std::string s = canonical_request_summary(other);
+    EXPECT_NE(s, s0) << what;
+    EXPECT_NE(SimulationEngine::result_key(s), k0) << what;
+  }
+
+  const std::vector<Mutation> not_identity = {
+      {"timeout_seconds", [](SimRequest& r) { r.timeout_seconds = 5; }},
+      {"bypass_result_cache",
+       [](SimRequest& r) { r.bypass_result_cache = true; }},
+  };
+  for (const auto& [what, mutate] : not_identity) {
+    SimRequest other = base;
+    mutate(other);
+    const std::string s = canonical_request_summary(other);
+    EXPECT_EQ(s, s0) << what;
+    EXPECT_EQ(SimulationEngine::result_key(s), k0) << what;
+  }
 }
 
 }  // namespace

@@ -1,9 +1,9 @@
 // SimulationEngine error recovery under vgpu fault injection: structured
 // error codes, retry-with-backoff, fallback backends, deadline cancellation
-// mid-run, failure propagation to coalesced waiters, the bounded latency
-// reservoir, and a 500-request soak with ~10% injected faults that must
-// resolve every request to success (bit-identical with a fault-free run) or
-// a structured error — no crashes, no hangs.
+// mid-run, failure propagation to coalesced waiters, and a 500-request soak
+// with ~10% injected faults that must resolve every request to success
+// (bit-identical with a fault-free run) or a structured error — no crashes,
+// no hangs.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -18,15 +18,15 @@
 #include "src/prof/trace.h"
 #include "src/rqc/rqc.h"
 
-#if defined(__SANITIZE_THREAD__)
-#define QHIP_TSAN_BUILD 1
+#if defined(__SANITIZE_THREAD__) || defined(__SANITIZE_ADDRESS__)
+#define QHIP_SANITIZED_BUILD 1
 #elif defined(__has_feature)
-#if __has_feature(thread_sanitizer)
-#define QHIP_TSAN_BUILD 1
+#if __has_feature(thread_sanitizer) || __has_feature(address_sanitizer)
+#define QHIP_SANITIZED_BUILD 1
 #endif
 #endif
-#ifndef QHIP_TSAN_BUILD
-#define QHIP_TSAN_BUILD 0
+#ifndef QHIP_SANITIZED_BUILD
+#define QHIP_SANITIZED_BUILD 0
 #endif
 
 namespace qhip::engine {
@@ -47,7 +47,7 @@ SimRequest request(const Circuit& c, const char* backend,
   SimRequest req;
   req.circuit = c;
   req.backend = backend;
-  req.max_fused = 3;
+  req.fusion.max_fused_qubits = 3;
   req.seed = seed;
   req.num_samples = 16;
   return req;
@@ -220,22 +220,6 @@ TEST(EngineFaults, CanonicalSummaryDistinguishesRequests) {
   EXPECT_NE(canonical_request_summary(other), s0);
 }
 
-TEST(EngineFaults, LatencyReservoirStaysBounded) {
-  EngineOptions opt;
-  opt.latency_window = 4;  // tiny window: exercises ring wraparound
-  opt.result_cache_capacity = 0;
-  SimulationEngine eng(opt);
-  const Circuit c = make_rqc(2, 2, 4, 17);
-  for (std::uint64_t k = 0; k < 20; ++k) {
-    const SimResult r = eng.run(request(c, "cpu", /*seed=*/100 + k));
-    ASSERT_TRUE(r.ok) << r.error;
-  }
-  const EngineMetrics m = eng.metrics();
-  EXPECT_EQ(m.completed, 20u);
-  EXPECT_GT(m.p50_ms, 0.0);  // percentiles still flow from the window
-  EXPECT_GE(m.p95_ms, m.p50_ms);
-}
-
 TEST(EngineFaults, SoakMixedFaultsResolveEveryRequest) {
   // Fault-free references for every (circuit, seed) pair used below.
   const Circuit circuits[] = {
@@ -243,9 +227,11 @@ TEST(EngineFaults, SoakMixedFaultsResolveEveryRequest) {
       make_rqc(2, 4, 8, 22),  // 8 qubits
       make_rqc(3, 3, 6, 23),  // 9 qubits
   };
-  // ThreadSanitizer slows the hip stream path ~50x; a shorter soak keeps the
-  // tsan presets usable while still driving every recovery path.
-  constexpr std::size_t kRequests = QHIP_TSAN_BUILD ? 100 : 500;
+  // Sanitizer builds run the vgpu block executor on host threads (always
+  // under TSan; QHIP_BLOCK_EXEC=threads in the asan preset), which slows the
+  // hip stream path ~50x; a shorter soak keeps the sanitizer presets usable
+  // while still driving every recovery path.
+  constexpr std::size_t kRequests = QHIP_SANITIZED_BUILD ? 100 : 500;
   constexpr std::uint64_t kSeeds = 25;
 
   SimulationEngine clean;

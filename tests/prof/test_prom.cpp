@@ -7,18 +7,27 @@
 // family announced by # HELP/# TYPE exactly once, every sample belonging to
 // an announced family, and histogram _bucket/_sum/_count internally
 // consistent (cumulative buckets, +Inf == _count).
+//
+// The last part pins the one metrics definition: every scalar Prometheus
+// family has a trace counter twin with the same value, and the scrape of a
+// fully populated EngineMetrics matches a committed golden line for line.
 #include "src/prof/prom.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdlib>
+#include <fstream>
 #include <map>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "src/base/strings.h"
 #include "src/engine/engine.h"
+#include "src/prof/trace.h"
 #include "src/rqc/rqc.h"
 
 namespace qhip::prof {
@@ -291,6 +300,147 @@ TEST(PromFormat, LiveEngineScrapePassesTheValidator) {
     ASSERT_TRUE(r.ok) << r.error;
   }
   validate_prom_text(eng.metrics().to_prom_text());
+}
+
+// --- one metrics definition -----------------------------------------------
+
+// Every EngineMetrics field set to a distinct non-zero value.
+engine::EngineMetrics every_field_set() {
+  engine::EngineMetrics m;
+  m.submitted = 1;
+  m.completed = 2;
+  m.rejected = 3;
+  m.result_cache_hits = 4;
+  m.retries = 5;
+  m.fallbacks = 6;
+  m.coalesced_failures = 7;
+  m.faults_oom = 8;
+  m.faults_backend = 9;
+  m.faults_deadline = 10;
+  m.fused_cache.hits = 11;
+  m.fused_cache.misses = 12;
+  m.fused_cache.evictions = 13;
+  m.fused_cache.entries = 14;
+  m.fused_cache.approx_bytes = 15;
+  m.pool_hits = 16;
+  m.pool_misses = 17;
+  m.pool_discarded = 18;
+  m.bytes_pooled = 19;
+  m.buffers_pooled = 20;
+  m.backends_created = 21;
+  m.queue_ms.record(0.5);
+  m.fuse_ms.record(1.5);
+  m.execute_ms.record(40.0);
+  m.sample_ms.record(3.0);
+  m.total_ms.record(100.0);
+  m.total_ms.record(7.0);
+  m.fused_gates.record(12);
+  m.result_bytes.record(4096);
+  m.trajectories_per_batch.record(16);
+  m.expectation_requests = 22;
+  m.trajectory_batches = 23;
+  m.trajectories_run = 24;
+  m.trajectory_early_stops = 25;
+  m.planner_decisions = 26;
+  m.planner_calibrated_decisions = 27;
+  m.planner_observations = 28;
+  m.planner_predicted_seconds = 29.5;
+  m.planner_observed_seconds = 30.25;
+  m.planner_chosen["cpu"] = 31;
+  m.planner_chosen["hip"] = 32;
+  m.planner_calibration["hip/q20"] = 1.25;
+  m.slo_breaches = 33;
+  m.snapshots_written = 34;
+  m.last_snapshot_path = "snapshot-1-p99-any.trace.json";
+  m.exemplars["queue"] = {35, 0.5};
+  m.exemplars["fuse"] = {36, 1.5};
+  m.exemplars["execute"] = {37, 40.0};
+  m.exemplars["sample"] = {38, 3.0};
+  m.exemplars["total"] = {39, 100.0};
+  return m;
+}
+
+std::vector<std::string> sorted_lines(const std::string& text) {
+  std::vector<std::string> out;
+  std::istringstream lines(text);
+  std::string line;
+  while (std::getline(lines, line)) {
+    if (!line.empty()) out.push_back(line);
+  }
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+TEST(PromFormat, EveryScalarFamilyHasATraceCounterTwin) {
+  const engine::EngineMetrics m = every_field_set();
+  const std::string text = m.to_prom_text();
+  validate_prom_text(text);
+  Tracer t;
+  m.to_trace_counters(t);
+  const auto counters = t.counters();
+
+  const std::string prefix = "qhip_engine_";
+  const std::vector<std::string> lines = sorted_lines(text);
+  std::set<std::string> families;  // announced by # TYPE
+  for (const std::string& line : lines) {
+    if (line.rfind("# TYPE ", 0) == 0) {
+      families.insert(line.substr(7, line.find(' ', 7) - 7));
+    }
+  }
+  std::size_t scalars = 0;
+  for (const std::string& line : lines) {
+    // Scalar samples: unlabeled lines named exactly like their family
+    // (histogram _sum/_count lines carry a suffix; labeled families a '{').
+    if (line[0] == '#' || line.find('{') != std::string::npos) continue;
+    const std::string name = line.substr(0, line.find(' '));
+    if (families.count(name) == 0) continue;
+    ASSERT_EQ(name.rfind(prefix, 0), 0u) << line;
+    const std::string key = "engine/" + name.substr(prefix.size());
+    const auto it = counters.find(key);
+    ASSERT_NE(it, counters.end()) << "no trace counter " << key;
+    // Same value, compared as rendered (the scrape prints %.9g).
+    EXPECT_EQ(strfmt("%.9g", it->second), line.substr(name.size() + 1)) << key;
+    EXPECT_NE(it->second, 0.0) << key << " left at its default";
+    ++scalars;
+  }
+  EXPECT_EQ(scalars, 30u);
+  // Histograms: one bucket counter per non-empty bucket.
+  EXPECT_EQ(counters.count("engine/hist/total_ms/le_10.24"), 1u);
+  EXPECT_EQ(counters.count("engine/hist/total_ms/le_163.84"), 1u);
+  EXPECT_EQ(counters.at("engine/planner/chosen/hip"), 32.0);
+  EXPECT_EQ(counters.at("engine/planner/calibration/hip/q20"), 1.25);
+}
+
+// tests/prof/testdata/engine_metrics.prom is the scrape of every_field_set()
+// from before the metric table: it pins every family name, help text, label
+// set and value. Line order is free; the only additions allowed are the two
+// fused-cache gauges.
+TEST(PromFormat, ScrapeMatchesGoldenPlusFusedCacheGauges) {
+  std::ifstream in(QHIP_PROM_GOLDEN);
+  ASSERT_TRUE(in.good()) << QHIP_PROM_GOLDEN;
+  std::stringstream golden;
+  golden << in.rdbuf();
+
+  std::vector<std::string> added;
+  std::vector<std::string> kept;
+  const std::string text = every_field_set().to_prom_text();
+  for (const std::string& line : sorted_lines(text)) {
+    const bool fused_gauge =
+        line.find("qhip_engine_fused_cache_entries") != std::string::npos ||
+        line.find("qhip_engine_fused_cache_bytes") != std::string::npos;
+    (fused_gauge ? added : kept).push_back(line);
+  }
+  EXPECT_EQ(kept, sorted_lines(golden.str()));
+  const std::vector<std::string> want = {
+      "# HELP qhip_engine_fused_cache_bytes "
+      "Matrix payload bytes of the cached fused circuits",
+      "# HELP qhip_engine_fused_cache_entries Fused circuits held in the cache",
+      "# TYPE qhip_engine_fused_cache_bytes gauge",
+      "# TYPE qhip_engine_fused_cache_entries gauge",
+      "qhip_engine_fused_cache_bytes 15",
+      "qhip_engine_fused_cache_entries 14",
+  };
+  EXPECT_EQ(added, want);
 }
 
 }  // namespace

@@ -157,7 +157,7 @@ TYPED_TEST(SimulatorCPUTyped, RunnerFusedMatchesUnfused) {
   for (unsigned f : {2u, 3u, 4u, 5u}) {
     StateVector<TypeParam> fused(8);
     RunOptions opt;
-    opt.max_fused_qubits = f;
+    opt.fusion.max_fused_qubits = f;
     const RunResult r = run_circuit(c, sim, fused, opt);
     EXPECT_LT(statespace::max_abs_diff(unfused, fused),
               10 * state_tol<TypeParam>())
