@@ -3,11 +3,14 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cfenv>
 #include <numeric>
+#include <string>
 #include <vector>
 
 #include "src/base/error.h"
 #include "src/vgpu/device.h"
+#include "src/vgpu/fiber_exec.h"
 
 namespace qhip::vgpu {
 namespace {
@@ -321,6 +324,163 @@ TEST(Exec, KernelExceptionPropagates) {
   // Device still usable.
   EXPECT_NO_THROW(dev.launch("ok", {1, 8, 0, true, {}},
                              [](KernelCtx& ctx) { ctx.syncthreads(); }));
+}
+
+// The rendezvous counters under churn: a 1024-thread block where some lanes
+// of every warp exit before the first collective (including each warp's
+// last lane, so an exit completes the warp sync) and more exit between the
+// barriers (including the block's last thread, so an exit completes the
+// barrier). Dead shuffle sources return the caller's own value; ballots see
+// only live lanes.
+TEST(Exec, ThousandLaneBlockWithEarlyExitsInEveryWarp) {
+  constexpr unsigned kBlock = 1024;
+  for (unsigned warp : {32u, 64u}) {
+    BlockExec exec(kBlock, 0, warp);
+    struct Out {
+      unsigned r1 = 0, r2 = 0, r3 = 0;
+      std::uint64_t b1 = 0, b2 = 0;
+      int phase = 0;
+    };
+    std::vector<Out> out(kBlock);
+    auto exits_first = [&](unsigned lane) {
+      return lane % 5 == 4 || lane == warp - 1;
+    };
+    auto exits_second = [&](unsigned t, unsigned lane) {
+      return lane % 5 == 0 || t == kBlock - 1;
+    };
+    exec.run_block(
+        [&](KernelCtx& ctx) {
+          const unsigned t = ctx.thread_idx(), lane = ctx.lane();
+          Out& o = out[t];
+          if (exits_first(lane)) return;
+          o.r1 = ctx.shfl_down(t, 1);
+          o.b1 = ctx.ballot(t % 3 == 0);
+          ctx.syncthreads();
+          o.phase = 1;
+          if (exits_second(t, lane)) return;
+          ctx.syncthreads();
+          o.r2 = ctx.shfl(t, 1);
+          o.r3 = ctx.shfl(t, 0);
+          o.b2 = ctx.ballot(true);
+          ctx.syncthreads();
+          o.phase = 2;
+        },
+        0, kBlock, 1, 0, /*needs_sync=*/true);
+
+    for (unsigned t = 0; t < kBlock; ++t) {
+      const unsigned lane = t % warp, base = t - lane;
+      const Out& o = out[t];
+      if (exits_first(lane)) {
+        EXPECT_EQ(o.phase, 0) << t;
+        continue;
+      }
+      std::uint64_t b1 = 0, b2 = 0;
+      for (unsigned l = 0; l < warp; ++l) {
+        if (exits_first(l)) continue;
+        if ((base + l) % 3 == 0) b1 |= std::uint64_t{1} << l;
+        if (!exits_second(base + l, l)) b2 |= std::uint64_t{1} << l;
+      }
+      const bool src_live = lane + 1 < warp && !exits_first(lane + 1);
+      EXPECT_EQ(o.r1, src_live ? t + 1 : t) << "warp " << warp << " t " << t;
+      EXPECT_EQ(o.b1, b1) << "warp " << warp << " t " << t;
+      if (exits_second(t, lane)) {
+        EXPECT_EQ(o.phase, 1) << t;
+        continue;
+      }
+      EXPECT_EQ(o.phase, 2) << t;
+      EXPECT_EQ(o.r2, base + 1) << t;  // lane 1 stays live throughout
+      EXPECT_EQ(o.r3, t) << t;         // lane 0 exited: own value
+      EXPECT_EQ(o.b2, b2) << "warp " << warp << " t " << t;
+    }
+  }
+}
+
+// A failed run abandons its lanes mid-block; the next runs on the same
+// executor must start from clean counters. Also pins the deadlock census
+// text.
+TEST(Exec, CountersResetAfterThrowAndDeadlock) {
+  constexpr unsigned kBlock = 256;
+  BlockExec exec(1024, kBlock * sizeof(long), 64);
+  try {
+    exec.run_block(
+        [](KernelCtx& ctx) {
+          ctx.syncthreads();
+          if (ctx.thread_idx() == 77) throw Error("lane 77 failed");
+          ctx.syncthreads();
+        },
+        3, kBlock, 8, 0, true);
+    ADD_FAILURE() << "expected the lane's exception";
+  } catch (const Error& e) {
+    EXPECT_STREQ(e.what(), "lane 77 failed");
+  }
+
+  // 16 lanes exit, 24 wait at the barrier, 24 at a shuffle: no rendezvous
+  // can complete.
+  try {
+    exec.run_block(
+        [](KernelCtx& ctx) {
+          if (ctx.thread_idx() < 16) return;
+          if (ctx.thread_idx() < 40) {
+            ctx.syncthreads();
+          } else {
+            ctx.shfl_down(1, 1);
+          }
+        },
+        5, 64, 8, 0, true);
+    ADD_FAILURE() << "expected a deadlock";
+  } catch (const Error& e) {
+    EXPECT_EQ(std::string(e.what()),
+              "vgpu: __syncthreads deadlock in block 5: 48 thread(s) waiting "
+              "at a barrier that 16 already-exited thread(s) can never reach");
+  }
+
+  // Clean block reduction: warp shuffles, then a shared-memory combine.
+  for (int rep = 0; rep < 2; ++rep) {
+    long total = -1;
+    exec.run_block(
+        [&](KernelCtx& ctx) {
+          long v = static_cast<long>(ctx.thread_idx()) + 1;
+          for (unsigned off = ctx.warp_size() / 2; off > 0; off >>= 1) {
+            v += ctx.shfl_down(v, off);
+          }
+          long* sh = ctx.shared_as<long>();
+          if (ctx.lane() == 0) sh[ctx.warp_id()] = v;
+          ctx.syncthreads();
+          if (ctx.thread_idx() == 0) {
+            total = 0;
+            for (unsigned w = 0; w < kBlock / 64; ++w) total += sh[w];
+          }
+          ctx.syncthreads();
+        },
+        0, kBlock, 1, kBlock * sizeof(long), true);
+    EXPECT_EQ(total, long{kBlock} * (kBlock + 1) / 2) << "rep " << rep;
+  }
+}
+
+// Each block thread owns its floating-point control state, as each GPU
+// thread owns its registers: a rounding mode one lane sets survives that
+// lane's barrier and never leaks into a sibling, including one that starts
+// after it, and the launching thread's mode is untouched.
+TEST(Exec, RoundingModeStaysWithItsThread) {
+  BlockExec exec(64, 0, 64);
+  std::vector<int> before(3), after(3);
+  exec.run_block(
+      [&](KernelCtx& ctx) {
+        const unsigned t = ctx.thread_idx();
+        if (t == 0) std::fesetround(FE_UPWARD);
+        before[t] = std::fegetround();
+        ctx.syncthreads();
+        after[t] = std::fegetround();
+        std::fesetround(FE_TONEAREST);
+      },
+      0, 3, 1, 0, true);
+  EXPECT_EQ(before[0], FE_UPWARD);
+  EXPECT_EQ(after[0], FE_UPWARD);
+  for (unsigned t = 1; t < 3; ++t) {
+    EXPECT_EQ(before[t], FE_TONEAREST) << t;
+    EXPECT_EQ(after[t], FE_TONEAREST) << t;
+  }
+  EXPECT_EQ(std::fegetround(), FE_TONEAREST);
 }
 
 }  // namespace
