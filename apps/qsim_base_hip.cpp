@@ -28,6 +28,7 @@
 #include "src/base/bits.h"
 #include "src/base/error.h"
 #include "src/base/strings.h"
+#include "src/base/timer.h"
 #include "src/engine/backend.h"
 #include "src/engine/engine.h"
 #include "src/io/circuit_io.h"

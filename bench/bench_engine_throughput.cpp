@@ -6,8 +6,8 @@
 // request). Three configurations over the virtual MI250X GCD:
 //
 //   cold        a fresh backend per request: device construction, state
-//               allocation, and transpile paid every time (the legacy
-//               run_circuit pattern every driver used)
+//               allocation, and transpile paid every time (one
+//               run_circuit per request)
 //   engine-sim  SimulationEngine with the result cache bypassed: fused
 //               circuits cached, state buffers pooled, every request still
 //               simulated

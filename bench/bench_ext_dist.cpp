@@ -6,9 +6,8 @@
 //      across 2/4/8 ranks, and the fusion knob's second job as a
 //      *communication* optimizer — wider fused gates touch distributed
 //      qubits less often per unit of work;
-//   2. swap protocol: per-swap wall time of the chunked double-buffered
-//      pipelined exchange vs the blocking whole-halve baseline, with the
-//      pack / exchange / unpack phase breakdown;
+//   2. swap cost: per-swap wall time of the chunked double-buffered
+//      exchange, with the pack / exchange / unpack phase breakdown;
 //   3. serving: the same distribution running as a first-class engine
 //      backend (dist:N) with Born-rule sampling and transfer counters.
 #include <chrono>
@@ -27,14 +26,11 @@ namespace {
 // Applies `swaps` H gates alternating between the two highest logical
 // qubits; with default layout both live in global slots, so every gate
 // costs exactly one slot swap. Returns wall seconds for the whole run.
-double time_swaps(int ranks, unsigned n, int swaps, bool pipelined,
-                  dist::DistStats* stats) {
-  dist::DistOptions dopt;
-  dopt.pipelined = pipelined;
+double time_swaps(int ranks, unsigned n, int swaps, dist::DistStats* stats) {
   double seconds = 0;
   dist::run_spmd(ranks, [&](dist::Comm& comm) {
     ThreadPool pool(1);
-    dist::SimulatorDist<float> sim(comm, n, pool, dopt);
+    dist::SimulatorDist<float> sim(comm, n, pool);
     comm.barrier();
     const auto t0 = std::chrono::steady_clock::now();
     for (int k = 0; k < swaps; ++k) {
@@ -87,32 +83,24 @@ int main() {
               "a distributed qubit, so volume per rank shrinks while swap\n"
               "count grows — the classic distributed state-vector trade.\n");
 
-  // --- swap protocol: pipelined chunked exchange vs blocking baseline ----
+  // --- swap cost: chunked double-buffered exchange ---------------------
   const unsigned n = 22;
   const int ranks = 4;
   const int swaps = 32;
-  std::printf("\nSwap protocol (n=%u, ranks=%d, %d swaps, 1 gate per swap):\n\n",
+  std::printf("\nSwap cost (n=%u, ranks=%d, %d swaps, 1 gate per swap):\n\n",
               n, ranks, swaps);
-  std::printf("%-12s %12s %12s %12s %12s %12s\n", "protocol", "ms/swap",
-              "chunks", "pack ms", "exchange ms", "unpack ms");
-  double per_swap[2] = {0, 0};
-  for (const bool pipelined : {false, true}) {
-    dist::DistStats s{};
-    // Warm-up run populates the page cache / staging buffers, second run
-    // is the measured one.
-    time_swaps(ranks, n, swaps, pipelined, &s);
-    const double sec = time_swaps(ranks, n, swaps, pipelined, &s);
-    per_swap[pipelined] = sec * 1e3 / swaps;
-    std::printf("%-12s %12.3f %12llu %12.2f %12.2f %12.2f\n",
-                pipelined ? "pipelined" : "blocking", per_swap[pipelined],
-                static_cast<unsigned long long>(s.swap_chunks),
-                s.pack_ns / 1e6, s.exchange_ns / 1e6, s.unpack_ns / 1e6);
-  }
-  std::printf("\npipelined/blocking per-swap time: %.2fx\n",
-              per_swap[1] / per_swap[0]);
-  std::printf("The blocking path packs the whole outgoing halve, exchanges\n"
-              "it, then unpacks; the pipelined path overlaps the three\n"
-              "phases chunk by chunk with double-buffered staging.\n");
+  std::printf("%12s %12s %12s %12s %12s\n", "ms/swap", "chunks", "pack ms",
+              "exchange ms", "unpack ms");
+  dist::DistStats s{};
+  // Warm-up run populates the page cache / staging buffers, second run is
+  // the measured one.
+  time_swaps(ranks, n, swaps, &s);
+  const double sec = time_swaps(ranks, n, swaps, &s);
+  std::printf("%12.3f %12llu %12.2f %12.2f %12.2f\n", sec * 1e3 / swaps,
+              static_cast<unsigned long long>(s.swap_chunks), s.pack_ns / 1e6,
+              s.exchange_ns / 1e6, s.unpack_ns / 1e6);
+  std::printf("Each swap overlaps pack, wire and unpack chunk by chunk over\n"
+              "double-buffered staging (rank 0's phase times shown).\n");
 
   // --- serving: dist:N as an engine backend ------------------------------
   std::printf("\nServing path (SimulationEngine, backend=dist:4):\n\n");

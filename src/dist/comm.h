@@ -7,7 +7,7 @@
 // test on a single host. The API is the MPI subset the simulator needs:
 // blocking send / recv / sendrecv (tagged, message semantics — one recv
 // matches one send of the same (src, tag) in order), the non-blocking
-// isend / irecv / wait triple used by the pipelined slot-swap protocol,
+// isend / irecv / wait triple used by the chunked slot-swap protocol,
 // probe, barrier, and allreduce (scalar and vector).
 //
 // Determinism: message matching is per (src, dst, tag) FIFO, and the

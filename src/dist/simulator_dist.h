@@ -7,16 +7,13 @@
 // bits equal r. Gates on local slots apply independently per rank with the
 // CPU kernels; a gate touching a global slot first swaps that slot with a
 // free local one — the textbook qubit-remapping / cache-blocking step
-// (qHiPSTER). The logical->physical layout permutation is tracked
-// identically on every rank, together with its inverse so slot lookups are
-// O(1).
+// (qHiPSTER). The layout, its eviction policy, the measurement collapse
+// split and the logical-order scatter are PartitionLayout's, shared with the
+// multi-GCD HIP backend and tracked identically on every rank.
 //
 // Slot swaps are chunked and double-buffered: while chunk k is in flight,
 // chunk k+1 is packed and chunk k-1 unpacked, over persistent staging
-// buffers (no per-swap allocation). Eviction slots are chosen by farthest
-// next use (Belady) when a gate list is available for lookahead, which
-// minimizes total swaps over a fused circuit; one-off apply_gate calls fall
-// back to the highest free slot.
+// buffers (no per-swap allocation).
 //
 // The full serving contract is supported: in-circuit measurements (collapse
 // via a rank-replicated outcome draw over allreduced probabilities),
@@ -26,11 +23,8 @@
 #pragma once
 
 #include <algorithm>
-#include <cassert>
 #include <chrono>
 #include <cmath>
-#include <functional>
-#include <numeric>
 #include <vector>
 
 #include "src/base/bits.h"
@@ -41,6 +35,7 @@
 #include "src/dist/comm.h"
 #include "src/obs/observable.h"
 #include "src/simulator/apply.h"
+#include "src/statespace/partition_layout.h"
 #include "src/statespace/statevector.h"
 
 namespace qhip::dist {
@@ -48,91 +43,71 @@ namespace qhip::dist {
 struct DistStats {
   std::uint64_t slot_swaps = 0;    // pairwise slot exchanges performed
   std::uint64_t swap_rounds = 0;   // gates whose localization communicated
-  std::uint64_t swap_chunks = 0;   // pipeline chunks across all swaps
+  std::uint64_t swap_chunks = 0;   // staging chunks across all swaps
   std::uint64_t bytes_sent = 0;    // payload bytes shipped to partners
   std::uint64_t pack_ns = 0;       // staging-buffer pack time
   std::uint64_t exchange_ns = 0;   // isend/irecv/wait time
   std::uint64_t unpack_ns = 0;     // staging-buffer unpack time
 };
 
-struct DistOptions {
-  // Chunked double-buffered swaps (pack k+1 / unpack k-1 while k is in
-  // flight). Off = the blocking pack/sendrecv/unpack baseline, kept for
-  // A/B benchmarking.
-  bool pipelined = true;
-  // Amplitudes per pipeline chunk; the swap half-slice is split into
-  // ceil(half / chunk_amps) chunks.
-  index_t chunk_amps = index_t{1} << 14;
-};
-
 template <typename FP>
 class SimulatorDist {
  public:
-  // Gate-index lookahead for eviction: maps a logical qubit to the index of
-  // the next gate that touches it (kNeverUsed when it is not used again).
-  using NextUseFn = std::function<std::uint64_t(qubit_t)>;
-  static constexpr std::uint64_t kNeverUsed = ~std::uint64_t{0};
+  // Amplitudes per swap staging chunk; a swap ships its half-slice in
+  // ceil(half / kSwapChunkAmps) chunks.
+  static constexpr index_t kSwapChunkAmps = index_t{1} << 14;
 
-  // Every rank constructs its own instance with the same num_qubits.
+  // Every rank constructs its own instance with the same num_qubits, which
+  // with the rank count must satisfy PartitionLayout::fits.
   SimulatorDist(Comm& comm, unsigned num_qubits,
-                ThreadPool& pool = ThreadPool::shared(), DistOptions opt = {})
+                ThreadPool& pool = ThreadPool::shared())
       : comm_(&comm),
-        n_(num_qubits),
-        d_(log2_exact(static_cast<index_t>(comm.size()))),
-        local_(num_qubits > d_ ? num_qubits - d_ : 1),
-        opt_(opt),
+        layout_(num_qubits, static_cast<unsigned>(comm.size())),
         pool_(&pool),
-        slice_(local_) {
-    check(is_pow2(static_cast<index_t>(comm.size())),
-          "SimulatorDist: rank count must be a power of two");
-    check(num_qubits > d_, "SimulatorDist: too few qubits to distribute");
-    check(opt_.chunk_amps > 0, "SimulatorDist: chunk_amps must be positive");
-    layout_.resize(n_);
-    slots_.resize(n_);
+        slice_(layout_.local_qubits()) {
     set_zero_state();
   }
 
-  unsigned num_qubits() const { return n_; }
-  unsigned local_qubits() const { return local_; }
+  unsigned num_qubits() const { return layout_.num_qubits(); }
+  unsigned local_qubits() const { return layout_.local_qubits(); }
   const DistStats& stats() const { return stats_; }
   const StateVector<FP>& local_slice() const { return slice_; }
 
   void set_zero_state() {
     std::fill(slice_.data(), slice_.data() + slice_.size(), cplx<FP>{});
     if (comm_->rank() == 0) slice_[0] = cplx<FP>{1};
-    std::iota(layout_.begin(), layout_.end(), 0u);
-    std::iota(slots_.begin(), slots_.end(), 0u);
+    layout_.reset();
   }
 
   // Reclaims a previously released slice's allocation (buffer pooling).
   // Returns false (and keeps the current slice) on a size mismatch.
   bool adopt_slice(StateVector<FP>&& s) {
-    if (s.num_qubits() != local_) return false;
+    if (s.num_qubits() != local_qubits()) return false;
     slice_ = std::move(s);
     set_zero_state();
     return true;
   }
   StateVector<FP> release_slice() { return std::move(slice_); }
 
-  void apply_gate(const Gate& gate) { apply_gate_with(gate, nullptr); }
-
-  // Like apply_gate, but eviction slots for any needed swaps are chosen by
-  // farthest next use per `next_use` (run() supplies the circuit lookahead).
-  void apply_gate_with(const Gate& gate, const NextUseFn& next_use) {
+  // Applies one (unitary) gate. Swaps evict by farthest next use per
+  // `lookahead` (run() passes the circuit's).
+  void apply_gate(const Gate& gate, NextUseCursor* lookahead = nullptr) {
     Gate g = normalized(gate.controls.empty() ? gate : expand_controls(gate));
     check(!g.is_measurement(),
           "SimulatorDist: measurement gates go through run()/measure()");
-    check(g.num_targets() <= local_,
+    check(g.num_targets() <= local_qubits(),
           "SimulatorDist: gate wider than the local qubit count");
-    bool moved = false;
-    for (qubit_t q : g.qubits) moved |= localize(q, g.qubits, next_use);
-    if (moved) ++stats_.swap_rounds;
+    const unsigned swaps = layout_.localize(
+        g.qubits, lookahead, [this](const auto& sw) { swap_slots(sw); });
+    if (swaps > 0) ++stats_.swap_rounds;
     // Route each logical target to its physical slot WITHOUT re-normalizing
     // the gate onto slot order: the matrix stays in the logical basis, so
     // the accumulation order (and the result, bit for bit) matches the
     // single-node backends no matter how the layout is permuted.
     std::vector<qubit_t> slots(g.qubits.size());
-    for (std::size_t j = 0; j < slots.size(); ++j) slots[j] = slot_of(g.qubits[j]);
+    for (std::size_t j = 0; j < slots.size(); ++j) {
+      slots[j] = layout_.slot_of(g.qubits[j]);
+    }
     apply_gate_routed_inplace(g, slots, slice_, *pool_);
   }
 
@@ -145,30 +120,12 @@ class SimulatorDist {
   void run(const Circuit& c, std::uint64_t seed = 0,
            std::vector<index_t>* measurements = nullptr,
            const Deadline& deadline = {}) {
-    check(c.num_qubits == n_, "SimulatorDist::run: qubit mismatch");
-
-    // Per-qubit use lists (ascending gate index) for Belady eviction.
-    // Measurement gates read any layout, so they are not "uses".
-    std::vector<std::vector<std::uint32_t>> uses(n_);
-    for (std::uint32_t i = 0; i < c.gates.size(); ++i) {
-      const Gate& g = c.gates[i];
-      if (g.is_measurement()) continue;
-      for (qubit_t q : g.qubits) uses[q].push_back(i);
-      for (qubit_t q : g.controls) uses[q].push_back(i);
-    }
-    std::vector<std::size_t> cursor(n_, 0);
-    std::uint32_t now = 0;
-    const NextUseFn next_use = [&](qubit_t q) -> std::uint64_t {
-      auto& cu = cursor[q];
-      const auto& u = uses[q];
-      while (cu < u.size() && u[cu] < now) ++cu;
-      return cu < u.size() ? u[cu] : kNeverUsed;
-    };
-
+    check(c.num_qubits == num_qubits(), "SimulatorDist::run: qubit mismatch");
+    NextUseCursor lookahead(c);
     std::uint64_t meas_idx = 0;
     unsigned since_vote = 0;
     for (std::uint32_t i = 0; i < c.gates.size(); ++i) {
-      now = i;
+      lookahead.seek(i);
       if (deadline.active() && ++since_vote >= kDeadlineStride) {
         since_vote = 0;
         vote_deadline(deadline);
@@ -179,7 +136,7 @@ class SimulatorDist {
             measure(g.qubits, seed ^ (0x9E3779B97F4A7C15 * ++meas_idx));
         if (measurements) measurements->push_back(outcome);
       } else {
-        apply_gate_with(g, next_use);
+        apply_gate(g, &lookahead);
       }
     }
     if (deadline.active()) vote_deadline(deadline);
@@ -199,16 +156,15 @@ class SimulatorDist {
     // Outcome bits whose physical slot is global are fixed by the rank id;
     // local slots contribute per amplitude.
     index_t fixed = 0;
-    index_t lmask = 0;
     std::vector<std::pair<unsigned, unsigned>> lbits;  // (outcome bit, slot)
     const int rank = comm_->rank();
+    const unsigned local = local_qubits();
     for (unsigned j = 0; j < qubits.size(); ++j) {
-      const unsigned s = slot_of(qubits[j]);
-      if (s >= local_) {
-        if ((rank >> (s - local_)) & 1) fixed |= index_t{1} << j;
+      const unsigned s = layout_.slot_of(qubits[j]);
+      if (s >= local) {
+        if ((rank >> (s - local)) & 1) fixed |= index_t{1} << j;
       } else {
         lbits.emplace_back(j, s);
-        lmask |= index_t{1} << s;
       }
     }
 
@@ -233,21 +189,12 @@ class SimulatorDist {
       }
     }
 
-    // Collapse. A fixed (global-slot) bit mismatch zeroes the whole slice;
-    // otherwise only amplitudes whose local bits disagree are zeroed.
-    index_t gmask = 0;
-    for (unsigned j = 0; j < qubits.size(); ++j) {
-      if (slot_of(qubits[j]) >= local_) gmask |= index_t{1} << j;
-    }
-    if ((outcome & gmask) != fixed) {
+    const auto split = layout_.collapse_split(rank, qubits, outcome);
+    if (!split.survives) {
       std::fill(slice_.data(), slice_.data() + slice_.size(), cplx<FP>{});
     } else {
-      index_t lwant = 0;
-      for (const auto& [j, s] : lbits) {
-        if ((outcome >> j) & 1) lwant |= index_t{1} << s;
-      }
       pool_->parallel_for(slice_.size(), [&](index_t i) {
-        if ((i & lmask) != lwant) slice_[i] = cplx<FP>{};
+        if ((i & split.local_mask) != split.local_value) slice_[i] = cplx<FP>{};
       });
     }
 
@@ -263,12 +210,11 @@ class SimulatorDist {
   // ordered sum — exact, since x + 0.0 == x).
   std::vector<cplx64> amplitudes(const std::vector<index_t>& indices) {
     std::vector<double> flat(indices.size() * 2, 0.0);
-    const index_t local_mask = low_mask(local_);
     for (std::size_t k = 0; k < indices.size(); ++k) {
-      check(indices[k] < pow2(n_), "amplitudes: index out of range");
-      const index_t phys = logical_to_physical(indices[k]);
-      if (static_cast<int>(phys >> local_) == comm_->rank()) {
-        const cplx<FP> a = slice_[phys & local_mask];
+      check(indices[k] < pow2(num_qubits()), "amplitudes: index out of range");
+      const PartitionLayout::Location at = layout_.locate(indices[k]);
+      if (static_cast<int>(at.part) == comm_->rank()) {
+        const cplx<FP> a = slice_[at.index];
         flat[2 * k] = a.real();
         flat[2 * k + 1] = a.imag();
       }
@@ -284,14 +230,13 @@ class SimulatorDist {
   // <psi| P |psi> with the distributed state: the string's qubits are
   // localized first (swaps), then each rank reduces its slice.
   cplx64 expectation(const obs::PauliString& p) {
-    p.validate(n_);
-    // Localize every string qubit; the full set is pinned so localizing one
-    // never displaces another back to a global slot.
-    std::vector<qubit_t> pinned;
-    for (const auto& t : p.terms) pinned.push_back(t.qubit);
-    for (const auto& t : p.terms) localize(t.qubit, pinned, nullptr);
+    p.validate(num_qubits());
+    std::vector<qubit_t> qubits;
+    for (const auto& t : p.terms) qubits.push_back(t.qubit);
+    layout_.localize(qubits, nullptr,
+                     [this](const auto& sw) { swap_slots(sw); });
     obs::PauliString phys = p;
-    for (auto& t : phys.terms) t.qubit = slot_of(t.qubit);
+    for (auto& t : phys.terms) t.qubit = layout_.slot_of(t.qubit);
     // Local reduction WITHOUT the coefficient/i^Y factors, which must be
     // applied once globally: compute with unit coefficient, then rescale.
     obs::PauliString unit = phys;
@@ -322,19 +267,12 @@ class SimulatorDist {
       StateVector<FP> empty(1);
       return empty;
     }
-    StateVector<FP> out(n_);
-    out[0] = cplx<FP>{};
-    StateVector<FP> part(local_);
-    for (int r = 0; r < comm_->size(); ++r) {
-      if (r == 0) {
-        std::copy(slice_.data(), slice_.data() + slice_.size(), part.data());
-      } else {
-        comm_->recv(r, kGatherTag, part.data(), part.size() * sizeof(cplx<FP>));
-      }
-      const index_t base = static_cast<index_t>(r) << local_;
-      for (index_t i = 0; i < part.size(); ++i) {
-        out[physical_to_logical(base | i)] = part[i];
-      }
+    StateVector<FP> out(num_qubits());
+    layout_.scatter(0, slice_.data(), out.data());
+    StateVector<FP> part(local_qubits());
+    for (int r = 1; r < comm_->size(); ++r) {
+      comm_->recv(r, kGatherTag, part.data(), part.size() * sizeof(cplx<FP>));
+      layout_.scatter(r, part.data(), out.data());
     }
     comm_->barrier();
     return out;
@@ -349,31 +287,6 @@ class SimulatorDist {
   static constexpr int kGatherTag = 2;
   static constexpr unsigned kDeadlineStride = 16;
 
-  unsigned slot_of(qubit_t logical) const {
-    check(logical < n_, "SimulatorDist: logical qubit out of range");
-    const unsigned s = slots_[logical];
-#ifndef NDEBUG
-    assert(layout_[s] == logical && "layout/slots maps diverged");
-#endif
-    return s;
-  }
-
-  index_t physical_to_logical(index_t phys) const {
-    index_t logical = 0;
-    for (unsigned s = 0; s < n_; ++s) {
-      if (phys & (index_t{1} << s)) logical |= index_t{1} << layout_[s];
-    }
-    return logical;
-  }
-
-  index_t logical_to_physical(index_t logical) const {
-    index_t phys = 0;
-    for (unsigned q = 0; q < n_; ++q) {
-      if (logical & (index_t{1} << q)) phys |= index_t{1} << slots_[q];
-    }
-    return phys;
-  }
-
   void vote_deadline(const Deadline& deadline) {
     const double expired = deadline.expired() ? 1.0 : 0.0;
     if (comm_->allreduce_sum(expired) > 0) {
@@ -383,46 +296,24 @@ class SimulatorDist {
     }
   }
 
-  // Brings `q` into a local slot if needed. The eviction victim is the free
-  // local slot whose holder's next use is farthest away (Belady); without
-  // lookahead every holder ties at kNeverUsed and the highest free slot
-  // wins, matching the old heuristic. Returns true if a swap happened.
-  bool localize(qubit_t q, const std::vector<qubit_t>& pinned,
-                const NextUseFn& next_use) {
-    const unsigned gslot = slot_of(q);
-    if (gslot < local_) return false;
-    unsigned best = local_;
-    std::uint64_t best_next = 0;
-    for (unsigned s = local_; s-- > 0;) {
-      const qubit_t holder = layout_[s];
-      if (std::find(pinned.begin(), pinned.end(), holder) != pinned.end()) {
-        continue;
-      }
-      const std::uint64_t nu = next_use ? next_use(holder) : kNeverUsed;
-      if (best == local_ || nu > best_next) {
-        best = s;
-        best_next = nu;
-        if (nu == kNeverUsed) break;  // cannot do better; highest slot wins
-      }
-    }
-    check(best < local_, "SimulatorDist: no free local slot");
-    swap_slots(gslot, best);
-    return true;
-  }
-
   // Exchange amp(g=0, l=1) <-> amp(g=1, l=0) with the partner rank. The
   // half-slice is shipped in chunks over persistent double staging buffers:
   // chunk k's receive is posted, k is packed and sent, then chunk k-1
   // (whose buffers are now free) is waited on and unpacked — pack, wire,
   // and unpack overlap across chunks.
-  void swap_slots(unsigned gslot, unsigned lslot) {
-    using clock = std::chrono::steady_clock;
-    const auto ns = [](clock::time_point a, clock::time_point b) {
-      return static_cast<std::uint64_t>(
-          std::chrono::duration_cast<std::chrono::nanoseconds>(b - a).count());
+  void swap_slots(const PartitionLayout::SlotSwap& sw) {
+    // Adds the wall time of fn() to `acc`.
+    const auto timed = [](std::uint64_t& acc, auto&& fn) {
+      const auto t0 = std::chrono::steady_clock::now();
+      fn();
+      acc += static_cast<std::uint64_t>(
+          std::chrono::duration_cast<std::chrono::nanoseconds>(
+              std::chrono::steady_clock::now() - t0)
+              .count());
     };
 
-    const unsigned gbit = gslot - local_;
+    const unsigned lslot = sw.local_slot;
+    const unsigned gbit = sw.global_slot - local_qubits();
     const int rank = comm_->rank();
     const int partner = rank ^ (1 << gbit);
     const bool low_side = ((rank >> gbit) & 1) == 0;
@@ -436,101 +327,52 @@ class SimulatorDist {
       return ((t >> lslot) << (lslot + 1)) | (t & (bit - 1)) | keep;
     };
 
-    if (!opt_.pipelined) {
-      // Blocking baseline: one monolithic pack / sendrecv / unpack with
-      // per-swap staging allocations.
-      const auto t0 = clock::now();
-      std::vector<cplx<FP>> out(half), in(half);
-      for (index_t t = 0; t < half; ++t) out[t] = slice_[idx_of(t)];
-      const auto t1 = clock::now();
-      comm_->sendrecv(partner, kSwapTag, out.data(), in.data(),
-                      half * sizeof(cplx<FP>));
-      const auto t2 = clock::now();
-      for (index_t t = 0; t < half; ++t) slice_[idx_of(t)] = in[t];
-      const auto t3 = clock::now();
-      stats_.pack_ns += ns(t0, t1);
-      stats_.exchange_ns += ns(t1, t2);
-      stats_.unpack_ns += ns(t2, t3);
-      ++stats_.swap_chunks;
-    } else {
-      const index_t chunk = std::min(opt_.chunk_amps, half);
-      const index_t nchunks = (half + chunk - 1) / chunk;
-      for (auto& b : sbuf_) {
-        if (b.size() < static_cast<std::size_t>(chunk)) b.resize(chunk);
-      }
-      for (auto& b : rbuf_) {
-        if (b.size() < static_cast<std::size_t>(chunk)) b.resize(chunk);
-      }
+    const index_t chunk = std::min(kSwapChunkAmps, half);
+    const index_t nchunks = (half + chunk - 1) / chunk;
+    for (auto& b : sbuf_) b.resize(chunk);  // no-op after the first swap
+    for (auto& b : rbuf_) b.resize(chunk);
+    const auto count_of = [&](index_t k) {
+      return std::min(chunk, half - k * chunk);
+    };
 
-      const auto count_of = [&](index_t k) {
-        return std::min(chunk, half - k * chunk);
-      };
-      const auto pack = [&](index_t k, std::vector<cplx<FP>>& buf) {
+    // Iteration k posts chunk k's receive, packs and sends chunk k, then
+    // waits for and unpacks chunk k-1. rbuf_[k % 2] was last used by chunk
+    // k-2, unpacked at iteration k-1, so it is free to receive into;
+    // sbuf_[k % 2] likewise (isend is eager-buffered, complete at return).
+    Comm::Request rreq[2];
+    for (index_t k = 0; k <= nchunks; ++k) {
+      if (k < nchunks) {
         const index_t base = k * chunk, cnt = count_of(k);
-        for (index_t t = 0; t < cnt; ++t) buf[t] = slice_[idx_of(base + t)];
-      };
-      const auto unpack = [&](index_t k, const std::vector<cplx<FP>>& buf) {
-        const index_t base = k * chunk, cnt = count_of(k);
-        for (index_t t = 0; t < cnt; ++t) slice_[idx_of(base + t)] = buf[t];
-      };
-
-      Comm::Request rreq[2];
-      for (index_t k = 0; k < nchunks; ++k) {
-        const std::size_t bytes = count_of(k) * sizeof(cplx<FP>);
-        auto t0 = clock::now();
-        // rbuf_[k % 2] was last used by chunk k-2, unpacked at iteration
-        // k-1, so it is free to receive into; sbuf_[k % 2] likewise (isend
-        // is eager-buffered, complete at return).
-        rreq[k & 1] = comm_->irecv(partner, kSwapTag, rbuf_[k & 1].data(),
-                                   bytes);
-        auto t1 = clock::now();
-        pack(k, sbuf_[k & 1]);
-        auto t2 = clock::now();
-        comm_->isend(partner, kSwapTag, sbuf_[k & 1].data(), bytes);
-        auto t3 = clock::now();
-        stats_.exchange_ns += ns(t0, t1) + ns(t2, t3);
-        stats_.pack_ns += ns(t1, t2);
-        if (k > 0) {
-          t0 = clock::now();
-          comm_->wait(rreq[(k - 1) & 1]);
-          t1 = clock::now();
-          unpack(k - 1, rbuf_[(k - 1) & 1]);
-          t2 = clock::now();
-          stats_.exchange_ns += ns(t0, t1);
-          stats_.unpack_ns += ns(t1, t2);
-        }
+        std::vector<cplx<FP>>& out = sbuf_[k & 1];
+        timed(stats_.exchange_ns, [&] {
+          rreq[k & 1] = comm_->irecv(partner, kSwapTag, rbuf_[k & 1].data(),
+                                     cnt * sizeof(cplx<FP>));
+        });
+        timed(stats_.pack_ns, [&] {
+          for (index_t t = 0; t < cnt; ++t) out[t] = slice_[idx_of(base + t)];
+        });
+        timed(stats_.exchange_ns, [&] {
+          comm_->isend(partner, kSwapTag, out.data(), cnt * sizeof(cplx<FP>));
+        });
       }
-      const auto t0 = clock::now();
-      comm_->wait(rreq[(nchunks - 1) & 1]);
-      const auto t1 = clock::now();
-      unpack(nchunks - 1, rbuf_[(nchunks - 1) & 1]);
-      const auto t2 = clock::now();
-      stats_.exchange_ns += ns(t0, t1);
-      stats_.unpack_ns += ns(t1, t2);
-      stats_.swap_chunks += static_cast<std::uint64_t>(nchunks);
+      if (k > 0) {
+        const index_t j = k - 1, base = j * chunk, cnt = count_of(j);
+        const std::vector<cplx<FP>>& in = rbuf_[j & 1];
+        timed(stats_.exchange_ns, [&] { comm_->wait(rreq[j & 1]); });
+        timed(stats_.unpack_ns, [&] {
+          for (index_t t = 0; t < cnt; ++t) slice_[idx_of(base + t)] = in[t];
+        });
+      }
     }
-
+    stats_.swap_chunks += static_cast<std::uint64_t>(nchunks);
     stats_.bytes_sent += half * sizeof(cplx<FP>);
     ++stats_.slot_swaps;
-    std::swap(layout_[gslot], layout_[lslot]);
-    slots_[layout_[gslot]] = gslot;
-    slots_[layout_[lslot]] = lslot;
-#ifndef NDEBUG
-    for (unsigned s = 0; s < n_; ++s) {
-      assert(slots_[layout_[s]] == s && "layout/slots maps diverged");
-    }
-#endif
   }
 
   Comm* comm_;
-  unsigned n_;
-  unsigned d_;
-  unsigned local_;
-  DistOptions opt_;
+  PartitionLayout layout_;
   ThreadPool* pool_;
   StateVector<FP> slice_;
-  std::vector<qubit_t> layout_;   // physical slot -> logical qubit
-  std::vector<unsigned> slots_;   // logical qubit -> physical slot (inverse)
   std::vector<cplx<FP>> sbuf_[2], rbuf_[2];  // persistent swap staging
   DistStats stats_;
 };

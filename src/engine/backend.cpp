@@ -13,6 +13,7 @@
 #include "src/vgpu/fault.h"
 #include "src/hipsim/simulator_hip.h"
 #include "src/simulator/simulator_cpu.h"
+#include "src/statespace/partition_layout.h"
 #include "src/vgpu/device.h"
 #include "src/vgpu/device_props.h"
 
@@ -386,10 +387,6 @@ class DistBackend final : public Backend {
 
   BackendRunOutput run(const Circuit& fused, const BackendRunSpec& rs) override {
     const unsigned n = fused.num_qubits;
-    const unsigned d = log2_exact(ranks_);
-    check(n > d, strfmt("dist backend: %u qubits cannot be split over %u "
-                        "ranks (need more than %u)",
-                        n, ranks_, d));
 
     BackendRunOutput out;
     dist::DistStats round;  // rank-0 copy of the per-run stats
@@ -541,10 +538,9 @@ bool backend_supports_noise(const BackendSpec& spec) {
 bool backend_fits(const BackendSpec& spec, unsigned num_qubits, Precision p) {
   if (spec.kind == BackendSpec::Kind::kAuto) return false;
   if (num_qubits < 1 || num_qubits > backend_max_qubits(spec, p)) return false;
-  // Distributed slices: every rank must hold at least one amplitude pair.
-  if (spec.kind == BackendSpec::Kind::kDist &&
-      num_qubits <= log2_exact(spec.ranks)) {
-    return false;
+  if (spec.kind == BackendSpec::Kind::kDist ||
+      spec.kind == BackendSpec::Kind::kMultiGcd) {
+    return PartitionLayout::fits(num_qubits, spec.ranks);
   }
   return true;
 }

@@ -21,7 +21,7 @@
 // BufferPool of state vectors keyed by qubit count, so serving many requests
 // reuses both the device and the allocations. run() executes an
 // already-fused circuit from |0...0> — transpiling is the caller's business
-// (the engine caches it; the run_circuit shim does it inline).
+// (the engine caches it; run_circuit below does it inline).
 //
 // Calls to run() on one instance must be serialized by the caller (the
 // engine holds a per-instance lock); distinct instances are independent.
@@ -156,13 +156,10 @@ std::unique_ptr<Backend> create_backend(const std::string& spec,
                                         Tracer* tracer = nullptr,
                                         const std::string& fault_spec = {});
 
-// Fuses `circuit` under `opt` and runs it on `backend` — the Backend-level
-// equivalent of the legacy template run_circuit (which is now a compat shim
-// kept for callers that hold a concrete simulator; see src/simulator/
-// runner.h). Sampling and measurement seeds behave identically, so results
-// are bit-identical with the template path on the same backend kind. Callers
-// needing amplitude gathers or the full state fuse explicitly and call
-// Backend::run with a BackendRunSpec.
+// Fuses `circuit` under `opt` and runs it on `backend`, with the seed driving
+// both in-circuit measurements and final sampling. Callers needing amplitude
+// gathers or the full state fuse explicitly and call Backend::run with a
+// BackendRunSpec.
 RunResult run_circuit(Backend& backend, const Circuit& circuit,
                       const RunOptions& opt = {});
 

@@ -10,15 +10,16 @@
 //  * The state vector is split by the top d physical index bits: GCD k
 //    holds the 2^(n-d) amplitudes whose top bits equal k ("global" slots);
 //    the low n-d bits are "local" slots addressable inside one GCD.
-//  * A logical->physical qubit layout is maintained. Gates whose targets
-//    are all local run independently on every GCD with the single-device
-//    ApplyGateH/L kernels — no communication.
-//  * A gate touching a global slot first swaps that slot with a free local
-//    slot: for each GCD pair differing in the global bit, the halves with
-//    opposite local-bit values are exchanged (pack kernel -> peer copy ->
-//    unpack kernel; the emulator stages peer copies through the host and
-//    records them as hipMemcpyPeer traffic). The layout permutation is
-//    updated instead of ever moving data back.
+//  * The logical->physical qubit layout, the eviction policy (farthest
+//    next use over run()'s circuit), the measurement collapse split and the
+//    logical-order scatter are PartitionLayout's, shared with the dist:N
+//    backend. Gates whose targets are all local run independently on every
+//    GCD with the single-device ApplyGateH/L kernels — no communication.
+//  * A gate touching a global slot first swaps that slot with a local slot
+//    the layout picks: for each GCD pair differing in the global bit, the
+//    halves with opposite local-bit values are exchanged (pack kernel ->
+//    peer copy -> unpack kernel; the emulator stages peer copies through
+//    the host and records them as hipMemcpyPeer traffic).
 //  * Sampling draws per-GCD probability masses, splits the sorted uniforms
 //    across GCDs, resolves locally, and maps physical indices back through
 //    the layout.
@@ -26,7 +27,6 @@
 
 #include <algorithm>
 #include <memory>
-#include <numeric>
 #include <vector>
 
 #include "src/base/bits.h"
@@ -36,6 +36,7 @@
 #include "src/hipsim/simulator_hip.h"
 #include "src/hipsim/state_space_hip_kernels.h"
 #include "src/hipsim/vectorspace_hip.h"
+#include "src/statespace/partition_layout.h"
 
 namespace qhip::hipsim {
 
@@ -91,29 +92,22 @@ struct UnpackHalfKernel {
 template <typename FP>
 class MultiGcdSimulator {
  public:
-  // `num_gcds` must be a power of two >= 2; each GCD gets its own virtual
-  // device with `props` (MI250X GCD by default). A non-null `faults` plan is
-  // shared by all GCDs, so occurrence counters ("the Nth allocation") are
-  // global across the job rather than per device.
+  // `num_qubits` and `num_gcds` must satisfy PartitionLayout::fits; each
+  // GCD gets its own virtual device with `props` (MI250X GCD by default). A
+  // non-null `faults` plan is shared by all GCDs, so occurrence counters
+  // ("the Nth allocation") are global across the job rather than per device.
   MultiGcdSimulator(unsigned num_qubits, unsigned num_gcds,
                     vgpu::DeviceProps props = vgpu::mi250x_gcd(),
                     Tracer* tracer = nullptr,
                     std::shared_ptr<vgpu::FaultPlan> faults = nullptr)
-      : n_(num_qubits),
-        d_(log2_exact(num_gcds)),
-        local_(num_qubits - d_),
-        tracer_(tracer) {
-    check(is_pow2(num_gcds) && num_gcds >= 2,
-          "MultiGcdSimulator: num_gcds must be a power of two >= 2");
-    check(num_qubits > d_ + 1, "MultiGcdSimulator: too few qubits to split");
-    layout_.resize(n_);
-    std::iota(layout_.begin(), layout_.end(), 0u);  // phys slot -> logical q
+      : layout_(num_qubits, num_gcds) {
     for (unsigned k = 0; k < num_gcds; ++k) {
       devices_.push_back(std::make_unique<vgpu::Device>(props, tracer));
       if (faults) devices_.back()->set_fault_plan(faults);
       sims_.push_back(std::make_unique<SimulatorHIP<FP>>(*devices_.back()));
       states_.push_back(
-          std::make_unique<DeviceStateVector<FP>>(*devices_.back(), local_));
+          std::make_unique<DeviceStateVector<FP>>(*devices_.back(),
+                                                  layout_.local_qubits()));
       // Per-GCD exchange machinery: a stream for the pack -> peer copy ->
       // unpack pipeline, a persistent staging buffer (half the local state),
       // and events ordering the exchange against the gate kernels.
@@ -131,8 +125,8 @@ class MultiGcdSimulator {
     for (unsigned k = 0; k < num_gcds(); ++k) devices_[k]->free(xbufs_[k]);
   }
 
-  unsigned num_qubits() const { return n_; }
-  unsigned num_gcds() const { return 1u << d_; }
+  unsigned num_qubits() const { return layout_.num_qubits(); }
+  unsigned num_gcds() const { return layout_.partitions(); }
   // hipDeviceSynchronize on every GCD: joins all pending gate and exchange
   // work (needed before reading wall-clock timers).
   void synchronize() {
@@ -146,22 +140,24 @@ class MultiGcdSimulator {
       sims_[k]->state_space().fill(*states_[k], cplx<FP>{});
     }
     sims_[0]->state_space().set_ampl(*states_[0], 0, cplx<FP>{1});
-    std::iota(layout_.begin(), layout_.end(), 0u);
+    layout_.reset();
   }
 
-  // Applies one (unitary) gate; controlled gates are folded first.
-  void apply_gate(const Gate& gate) {
+  // Applies one (unitary) gate; controlled gates are folded first. Swaps
+  // evict by farthest next use per `lookahead` (run() passes the circuit's).
+  void apply_gate(const Gate& gate, NextUseCursor* lookahead = nullptr) {
     Gate g = normalized(gate.controls.empty() ? gate : expand_controls(gate));
     check(!g.is_measurement(), "MultiGcdSimulator: measurement via measure()");
-    check(g.num_targets() <= local_,
+    check(g.num_targets() <= layout_.local_qubits(),
           "MultiGcdSimulator: gate wider than the local qubit count");
 
-    // Localize every target: swap global slots with free local slots.
-    for (qubit_t q : g.qubits) localize(q, g.qubits);
+    // Localize every target; the gate's own qubits are never evicted.
+    layout_.localize(g.qubits, lookahead,
+                     [this](const auto& sw) { swap_slots(sw); });
 
     // Remap logical targets to physical slots (all local now).
     Gate phys = g;
-    for (auto& q : phys.qubits) q = slot_of(q);
+    for (auto& q : phys.qubits) q = layout_.slot_of(q);
     phys = normalized(phys);
 
     for (unsigned k = 0; k < num_gcds(); ++k) {
@@ -175,16 +171,19 @@ class MultiGcdSimulator {
   void run(const Circuit& c, std::uint64_t seed = 0,
            std::vector<index_t>* measurements = nullptr,
            const Deadline& deadline = {}) {
-    check(c.num_qubits == n_, "MultiGcdSimulator::run: qubit mismatch");
+    check(c.num_qubits == num_qubits(), "MultiGcdSimulator::run: qubit mismatch");
+    NextUseCursor lookahead(c);
     std::uint64_t meas_idx = 0;
-    for (const auto& g : c.gates) {
+    for (std::uint32_t i = 0; i < c.gates.size(); ++i) {
       deadline.check("MultiGcdSimulator::run");
+      lookahead.seek(i);
+      const Gate& g = c.gates[i];
       if (g.is_measurement()) {
         const index_t outcome =
             measure(g.qubits, seed ^ (0x9E3779B97F4A7C15 * ++meas_idx));
         if (measurements) measurements->push_back(outcome);
       } else {
-        apply_gate(g);
+        apply_gate(g, &lookahead);
       }
     }
   }
@@ -199,15 +198,11 @@ class MultiGcdSimulator {
 
   // Gathers the full state in *logical* qubit order.
   StateVector<FP> to_host() const {
-    StateVector<FP> out(n_);
-    out[0] = cplx<FP>{};
-    StateVector<FP> part(local_);
+    StateVector<FP> out(num_qubits());
+    StateVector<FP> part(layout_.local_qubits());
     for (unsigned k = 0; k < num_gcds(); ++k) {
       states_[k]->download(part);
-      const index_t base = static_cast<index_t>(k) << local_;
-      for (index_t i = 0; i < part.size(); ++i) {
-        out[physical_to_logical(base | i)] = part[i];
-      }
+      layout_.scatter(k, part.data(), out.data());
     }
     return out;
   }
@@ -240,10 +235,7 @@ class MultiGcdSimulator {
         // Draw (k1 - k0) samples from GCD k's local distribution.
         const auto local = sims_[k]->state_space().sample(
             *states_[k], k1 - k0, seed ^ (0x9E37ull * (k + 1)));
-        const index_t base = static_cast<index_t>(k) << local_;
-        for (index_t li : local) {
-          out.push_back(physical_to_logical(base | li));
-        }
+        for (index_t li : local) out.push_back(layout_.logical_index(k, li));
       }
       csum += mass[k];
       k0 = k1;
@@ -259,12 +251,11 @@ class MultiGcdSimulator {
       for (unsigned k = 1; k < num_gcds(); ++k) {
         if (mass[k] > mass[kmax]) kmax = k;
       }
-      const index_t base = static_cast<index_t>(kmax) << local_;
       std::uint64_t tail_seed = seed ^ 0x777;
       while (out.size() < rs.size()) {
         const auto extra =
             sims_[kmax]->state_space().sample(*states_[kmax], 1, tail_seed++);
-        out.push_back(physical_to_logical(base | extra[0]));
+        out.push_back(layout_.logical_index(kmax, extra[0]));
       }
     }
     return out;
@@ -294,37 +285,13 @@ class MultiGcdSimulator {
     const std::vector<index_t> one = sample(1, seed);
     const index_t outcome = gather_bits(one[0], qubits);
 
-    // Collapse: physical constraint per GCD.
-    index_t lmask = 0, lval = 0;  // over local slots
-    for (std::size_t j = 0; j < qubits.size(); ++j) {
-      const unsigned slot = slot_of(qubits[j]);
-      const index_t bitval = (outcome >> j) & 1;
-      if (slot < local_) {
-        lmask |= index_t{1} << slot;
-        lval |= bitval << slot;
-      }
-    }
     for (unsigned k = 0; k < num_gcds(); ++k) {
-      bool device_allowed = true;
-      for (std::size_t j = 0; j < qubits.size(); ++j) {
-        const unsigned slot = slot_of(qubits[j]);
-        if (slot >= local_) {
-          const index_t devbit = (k >> (slot - local_)) & 1;
-          device_allowed &= devbit == ((outcome >> j) & 1);
-        }
-      }
-      if (!device_allowed) {
+      const auto c = layout_.collapse_split(k, qubits, outcome);
+      if (!c.survives) {
         sims_[k]->state_space().fill(*states_[k], cplx<FP>{});
-      } else if (lmask != 0) {
-        CollapseKernel<FP> ck{states_[k]->device_data(), states_[k]->size(),
-                              lmask, lval};
-        const index_t blocks =
-            (states_[k]->size() + kReduceBlockDim - 1) / kReduceBlockDim;
-        devices_[k]->launch(
-            "Collapse_Kernel",
-            {static_cast<unsigned>(std::min<index_t>(blocks, 4096)),
-             kReduceBlockDim, 0, false, {}},
-            ck);
+      } else if (c.local_mask != 0) {
+        sims_[k]->state_space().collapse(*states_[k], c.local_mask,
+                                         c.local_value);
       }
     }
     // Renormalize globally.
@@ -332,54 +299,12 @@ class MultiGcdSimulator {
     check(n2 > 0, "measure: zero state after collapse");
     const FP inv = static_cast<FP>(1.0 / std::sqrt(n2));
     for (unsigned k = 0; k < num_gcds(); ++k) {
-      ScaleKernel<FP> sk{states_[k]->device_data(), states_[k]->size(), inv};
-      const index_t blocks =
-          (states_[k]->size() + kReduceBlockDim - 1) / kReduceBlockDim;
-      devices_[k]->launch(
-          "Scale_Kernel",
-          {static_cast<unsigned>(std::min<index_t>(blocks, 4096)),
-           kReduceBlockDim, 0, false, {}},
-          sk);
+      sims_[k]->state_space().scale(*states_[k], inv);
     }
     return outcome;
   }
 
  private:
-  unsigned slot_of(qubit_t logical) const {
-    for (unsigned s = 0; s < n_; ++s) {
-      if (layout_[s] == logical) return s;
-    }
-    throw Error("MultiGcdSimulator: logical qubit not in layout");
-  }
-
-  index_t physical_to_logical(index_t phys) const {
-    index_t logical = 0;
-    for (unsigned s = 0; s < n_; ++s) {
-      if (phys & (index_t{1} << s)) logical |= index_t{1} << layout_[s];
-    }
-    return logical;
-  }
-
-  // Ensures logical qubit q sits in a local slot, swapping with a free
-  // local slot if needed. `targets` are the gate's logical qubits (their
-  // slots must not be displaced).
-  void localize(qubit_t q, const std::vector<qubit_t>& targets) {
-    const unsigned gslot = slot_of(q);
-    if (gslot < local_) return;
-
-    // Find the highest local slot holding a non-target logical qubit.
-    unsigned lslot = local_;
-    for (unsigned s = local_; s-- > 0;) {
-      const qubit_t holder = layout_[s];
-      if (std::find(targets.begin(), targets.end(), holder) == targets.end()) {
-        lslot = s;
-        break;
-      }
-    }
-    check(lslot < local_, "MultiGcdSimulator: no free local slot");
-    swap_slots(gslot, lslot);
-  }
-
   // Exchanges a global slot with a local slot across all GCD pairs. Three
   // asynchronous phases on the per-GCD exchange streams: (1) behind the
   // pending gate kernels, pack and stage down to the host on every GCD
@@ -387,8 +312,9 @@ class MultiGcdSimulator {
   // barrier; (3) upload the crossed halves and unpack, handing ordering back
   // to the compute streams via stream_wait_event. Devices of a pair (and
   // all pairs) overlap their pack/copy work.
-  void swap_slots(unsigned gslot, unsigned lslot) {
-    const unsigned gbit = gslot - local_;  // bit within the GCD index
+  void swap_slots(const PartitionLayout::SlotSwap& sw) {
+    const unsigned lslot = sw.local_slot;
+    const unsigned gbit = sw.global_slot - layout_.local_qubits();
     const index_t half = states_[0]->size() >> 1;
     const std::size_t bytes = half * sizeof(cplx<FP>);
 
@@ -420,7 +346,6 @@ class MultiGcdSimulator {
       unpack_from_host(p.b, lslot, 0, p.host_a.data(), bytes);
       stats_.peer_bytes += 2 * bytes;
     }
-    std::swap(layout_[gslot], layout_[lslot]);
     ++stats_.slot_swaps;
   }
 
@@ -430,7 +355,10 @@ class MultiGcdSimulator {
                     cplx<FP>* host, std::size_t bytes) {
     devices_[k]->record_event(ev_gates_[k], sims_[k]->compute_stream());
     devices_[k]->stream_wait_event(xstreams_[k], ev_gates_[k]);
-    launch_pack(k, xbufs_[k], bit_pos, bit_value);
+    const index_t half = states_[k]->size() >> 1;
+    PackHalfKernel<FP> pk{states_[k]->device_data(), xbufs_[k], half, bit_pos,
+                          bit_value};
+    devices_[k]->launch("PackHalf_Kernel", grid_for(half, xstreams_[k]), pk);
     devices_[k]->memcpy_d2h_async(host, xbufs_[k], bytes, xstreams_[k]);
   }
 
@@ -439,26 +367,13 @@ class MultiGcdSimulator {
   void unpack_from_host(unsigned k, unsigned bit_pos, unsigned bit_value,
                         const cplx<FP>* host, std::size_t bytes) {
     devices_[k]->memcpy_h2d_async(xbufs_[k], host, bytes, xstreams_[k]);
-    launch_unpack(k, xbufs_[k], bit_pos, bit_value);
+    const index_t half = states_[k]->size() >> 1;
+    UnpackHalfKernel<FP> uk{states_[k]->device_data(), xbufs_[k], half, bit_pos,
+                            bit_value};
+    devices_[k]->launch("UnpackHalf_Kernel", grid_for(half, xstreams_[k]), uk);
     devices_[k]->record_event(ev_exchanged_[k], xstreams_[k]);
     devices_[k]->stream_wait_event(sims_[k]->compute_stream(),
                                    ev_exchanged_[k]);
-  }
-
-  void launch_pack(unsigned k, cplx<FP>* buf, unsigned bit_pos,
-                   unsigned bit_value) {
-    const index_t half = states_[k]->size() >> 1;
-    PackHalfKernel<FP> pk{states_[k]->device_data(), buf, half, bit_pos,
-                          bit_value};
-    devices_[k]->launch("PackHalf_Kernel", grid_for(half, xstreams_[k]), pk);
-  }
-
-  void launch_unpack(unsigned k, const cplx<FP>* buf, unsigned bit_pos,
-                     unsigned bit_value) {
-    const index_t half = states_[k]->size() >> 1;
-    UnpackHalfKernel<FP> uk{states_[k]->device_data(), buf, half, bit_pos,
-                            bit_value};
-    devices_[k]->launch("UnpackHalf_Kernel", grid_for(half, xstreams_[k]), uk);
   }
 
   static vgpu::LaunchConfig grid_for(index_t size, vgpu::Stream s = {}) {
@@ -467,10 +382,7 @@ class MultiGcdSimulator {
             kReduceBlockDim, 0, false, s};
   }
 
-  unsigned n_;
-  unsigned d_;
-  unsigned local_;
-  Tracer* tracer_;
+  PartitionLayout layout_;
   std::vector<std::unique_ptr<vgpu::Device>> devices_;
   std::vector<std::unique_ptr<SimulatorHIP<FP>>> sims_;
   std::vector<std::unique_ptr<DeviceStateVector<FP>>> states_;
@@ -478,7 +390,6 @@ class MultiGcdSimulator {
   std::vector<vgpu::Event> ev_gates_;    // gate kernels drained, per GCD
   std::vector<vgpu::Event> ev_exchanged_;  // exchange landed, per GCD
   std::vector<cplx<FP>*> xbufs_;         // persistent pack/unpack staging
-  std::vector<qubit_t> layout_;  // physical slot -> logical qubit
   MultiGcdStats stats_;
 };
 

@@ -101,13 +101,23 @@ class StateSpaceHIP {
     return total;
   }
 
+  // Multiplies every amplitude by `factor`.
+  void scale(DeviceStateVector<FP>& s, FP factor) {
+    ScaleKernel<FP> k{s.device_data(), s.size(), factor};
+    dev_->launch("Scale_Kernel", grid_for(s.size()), k);
+  }
+
+  // Zeroes every amplitude whose bits under `mask` differ from `value`.
+  void collapse(DeviceStateVector<FP>& s, index_t mask, index_t value) {
+    CollapseKernel<FP> k{s.device_data(), s.size(), mask, value};
+    dev_->launch("Collapse_Kernel", grid_for(s.size()), k);
+  }
+
   // Scales so that norm2(s) == 1; returns the pre-normalization norm.
   double normalize(DeviceStateVector<FP>& s) {
     const double n2 = norm2(s);
     check(n2 > 0, "normalize: zero state");
-    ScaleKernel<FP> k{s.device_data(), s.size(),
-                      static_cast<FP>(1.0 / std::sqrt(n2))};
-    dev_->launch("Scale_Kernel", grid_for(s.size()), k);
+    scale(s, static_cast<FP>(1.0 / std::sqrt(n2)));
     return std::sqrt(n2);
   }
 
@@ -208,9 +218,7 @@ class StateSpaceHIP {
     const index_t outcome = gather_bits(one[0], qubits);
     index_t mask = 0;
     for (qubit_t q : qubits) mask |= pow2(q);
-    CollapseKernel<FP> k{s.device_data(), s.size(), mask,
-                         scatter_bits(outcome, qubits)};
-    dev_->launch("Collapse_Kernel", grid_for(s.size()), k);
+    collapse(s, mask, scatter_bits(outcome, qubits));
     normalize(s);
     return outcome;
   }

@@ -1,8 +1,8 @@
 // Blocking line-protocol client for qhip_serve (docs/SERVING.md).
 //
 // One Client is one TCP connection. call() is the synchronous convenience
-// (one request, wait for its response); pipelined load drivers use
-// send_line/recv_line directly and match responses to requests by the "id"
+// (one request, wait for its response); load drivers with several requests
+// in flight use send_line/recv_line directly and match responses to requests by the "id"
 // tag they attached.
 #pragma once
 

@@ -221,7 +221,7 @@ TEST(Comm, IrecvMatchesImmediatelyWhenQueued) {
   });
 }
 
-// The pipelined-swap usage pattern: both sides stream chunks through two
+// The chunked-swap usage pattern: both sides stream chunks through two
 // in-flight requests, waiting in post order.
 TEST(Comm, DoubleBufferedExchange) {
   constexpr int kChunks = 8;

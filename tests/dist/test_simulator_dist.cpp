@@ -212,32 +212,27 @@ TEST(SimulatorDist, LookaheadPicksFarthestNextUseEviction) {
   });
 }
 
-// The chunked double-buffered swap must be bit-identical with the blocking
-// baseline, chunk boundaries included (tiny chunks force many per swap).
-TEST(SimulatorDist, PipelinedSwapMatchesBlockingBitExact) {
-  const unsigned n = 10;
-  const Circuit c = random_circuit(n, 8, 21);
-  run_spmd(4, [&](Comm& comm) {
+// The chunked double-buffered swap must be bit-identical with the cpu
+// backend, chunk boundaries included: at this size every swap ships its
+// half-slice in two chunks of kSwapChunkAmps.
+TEST(SimulatorDist, ChunkedSwapMatchesCpuBitExact) {
+  const unsigned n = 17;
+  const Circuit c = fuse_circuit(random_circuit(n, 6, 21), {3}).circuit;
+  ThreadPool ref_pool(1);
+  SimulatorCPU<float> cpu(ref_pool);
+  StateVector<float> ref(n);
+  cpu.run(c, ref);
+  run_spmd(2, [&](Comm& comm) {
     ThreadPool pool(1);
-    DistOptions pipelined;
-    pipelined.pipelined = true;
-    pipelined.chunk_amps = 8;
-    DistOptions blocking;
-    blocking.pipelined = false;
-    SimulatorDist<float> a(comm, n, pool, pipelined);
-    SimulatorDist<float> b(comm, n, pool, blocking);
-    a.run(c);
-    b.run(c);
-    EXPECT_GT(a.stats().slot_swaps, 0u);
-    EXPECT_EQ(a.stats().slot_swaps, b.stats().slot_swaps);
-    EXPECT_EQ(a.stats().bytes_sent, b.stats().bytes_sent);
-    // Each pipelined swap ships ceil(half / chunk) chunks; blocking is 1.
-    EXPECT_GT(a.stats().swap_chunks, a.stats().slot_swaps);
-    EXPECT_EQ(b.stats().swap_chunks, b.stats().slot_swaps);
-    const StateVector<float> sa = a.gather();
-    const StateVector<float> sb = b.gather();
+    SimulatorDist<float> sim(comm, n, pool);
+    ASSERT_EQ(sim.local_slice().size() / 2,
+              2 * SimulatorDist<float>::kSwapChunkAmps);
+    sim.run(c);
+    EXPECT_GT(sim.stats().slot_swaps, 0u);
+    EXPECT_EQ(sim.stats().swap_chunks, 2 * sim.stats().slot_swaps);
+    const StateVector<float> got = sim.gather();
     if (comm.rank() == 0) {
-      EXPECT_EQ(statespace::max_abs_diff(sa, sb), 0.0);
+      EXPECT_EQ(statespace::max_abs_diff(got, ref), 0.0);
     }
   });
 }

@@ -1,8 +1,10 @@
-// Runtime Backend API: factory specs, legacy-shim parity, buffer pooling,
-// amplitude gathering, and device-memory capacity arithmetic.
+// Runtime Backend API: factory specs, parity with driving the simulators
+// directly, buffer pooling, amplitude gathering, and device-memory capacity
+// arithmetic.
 #include <gtest/gtest.h>
 
 #include "src/base/error.h"
+#include "src/core/gates.h"
 #include "src/engine/backend.h"
 #include "src/hipsim/simulator_hip.h"
 #include "src/rqc/rqc.h"
@@ -42,6 +44,31 @@ TEST(BackendFactory, RejectsUnknownSpecs) {
   EXPECT_THROW(create_backend("cpu", "half"), Error);
 }
 
+// backend_fits must say exactly which partitioned runs can be built, so the
+// engine's fallback and the planner never pick one whose construction
+// throws. Both hip:N and dist:N need two local qubits per part.
+TEST(BackendFactory, PartitionedFitsAgreesWithConstruction) {
+  for (const char* spec : {"hip:2", "hip:4", "dist:2", "dist:4"}) {
+    const BackendSpec parsed = BackendSpec::parse(spec);
+    const unsigned d = log2_exact(parsed.ranks);
+    const auto backend = create_backend(parsed, Precision::kSingle);
+    for (unsigned n : {d, d + 1, d + 2}) {
+      const bool fits = backend_fits(parsed, n, Precision::kSingle);
+      EXPECT_EQ(fits, n == d + 2) << spec << " n=" << n;
+      Circuit c;
+      c.num_qubits = n;
+      c.gates.push_back(gates::h(0, n - 1));  // a global qubit: one swap
+      bool built = true;
+      try {
+        backend->run(c, BackendRunSpec{});
+      } catch (const Error&) {
+        built = false;
+      }
+      EXPECT_EQ(built, fits) << spec << " n=" << n;
+    }
+  }
+}
+
 TEST(BackendFactory, IsBackendSpec) {
   EXPECT_TRUE(is_backend_spec("cpu"));
   EXPECT_TRUE(is_backend_spec("hip"));
@@ -55,8 +82,8 @@ TEST(BackendFactory, IsBackendSpec) {
   EXPECT_FALSE(is_backend_spec(""));
 }
 
-// The polymorphic path must be bit-identical with the legacy template
-// run_circuit for the same backend kind, fusion setting, and seed.
+// The polymorphic path must be bit-identical with driving the simulator
+// directly for the same backend kind, fusion setting, and seed.
 TEST(Backend, CpuMatchesLegacyShimBitExact) {
   const Circuit c = make_rqc(2, 3, 10, 11);
   RunOptions opt;
@@ -66,15 +93,19 @@ TEST(Backend, CpuMatchesLegacyShimBitExact) {
 
   SimulatorCPU<float> sim;
   StateVector<float> state(c.num_qubits);
-  const RunResult legacy = run_circuit(c, sim, state, opt);
+  const FusionResult fused = fuse_circuit(c, opt.fusion);
+  std::vector<index_t> legacy_meas;
+  sim.run(fused.circuit, state, opt.seed, &legacy_meas);
+  const auto legacy_samples =
+      statespace::sample(state, opt.num_samples, opt.seed);
 
   const auto backend = create_backend("cpu", Precision::kSingle);
   const RunResult poly = run_circuit(*backend, c, opt);
 
-  ASSERT_EQ(legacy.samples.size(), poly.samples.size());
-  EXPECT_EQ(legacy.samples, poly.samples);
-  EXPECT_EQ(legacy.measurements, poly.measurements);
-  EXPECT_EQ(legacy.fusion.output_gates, poly.fusion.output_gates);
+  ASSERT_EQ(legacy_samples.size(), poly.samples.size());
+  EXPECT_EQ(legacy_samples, poly.samples);
+  EXPECT_EQ(legacy_meas, poly.measurements);
+  EXPECT_EQ(fused.stats.output_gates, poly.fusion.output_gates);
 }
 
 TEST(Backend, HipMatchesLegacyShimBitExact) {

@@ -10,6 +10,7 @@
 
 #include "src/base/rng.h"
 #include "src/core/gates.h"
+#include "src/dist/simulator_dist.h"
 #include "src/fusion/fuser.h"
 #include "src/rqc/rqc.h"
 #include "src/simulator/reference.h"
@@ -216,6 +217,31 @@ TEST(MultiGcd, Validation) {
   for (qubit_t q = 0; q < 8; ++q) wide.qubits.push_back(q);
   wide.matrix = CMatrix::identity(256);
   EXPECT_THROW(sim.apply_gate(wide), Error);  // wider than local count
+}
+
+// hip:N and dist:N share one eviction policy, so the same fused circuit
+// needs the same number of slot swaps over either transport.
+TEST(MultiGcd, SlotSwapsMatchDistBackend) {
+  rqc::RqcOptions opt;
+  opt.rows = 2;
+  opt.cols = 4;
+  opt.depth = 8;
+  const Circuit circuit = rqc::generate_rqc(opt);
+  for (unsigned parts : {2u, 4u}) {
+    for (unsigned f : {2u, 4u}) {
+      const Circuit fused = fuse_circuit(circuit, {f}).circuit;
+      MultiGcdSimulator<float> multi(circuit.num_qubits, parts);
+      multi.run(fused);
+      EXPECT_GT(multi.stats().slot_swaps, 0u);
+      dist::run_spmd(static_cast<int>(parts), [&](dist::Comm& comm) {
+        ThreadPool pool(1);
+        dist::SimulatorDist<float> sim(comm, circuit.num_qubits, pool);
+        sim.run(fused);
+        EXPECT_EQ(sim.stats().slot_swaps, multi.stats().slot_swaps)
+            << parts << " parts, f=" << f;
+      });
+    }
+  }
 }
 
 TEST(MultiGcd, StatsAccumulate) {

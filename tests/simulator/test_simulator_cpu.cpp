@@ -6,8 +6,8 @@
 
 #include "src/base/rng.h"
 #include "src/core/gates.h"
+#include "src/fusion/fuser.h"
 #include "src/simulator/reference.h"
-#include "src/simulator/runner.h"
 
 namespace qhip {
 namespace {
@@ -156,14 +156,12 @@ TYPED_TEST(SimulatorCPUTyped, RunnerFusedMatchesUnfused) {
 
   for (unsigned f : {2u, 3u, 4u, 5u}) {
     StateVector<TypeParam> fused(8);
-    RunOptions opt;
-    opt.fusion.max_fused_qubits = f;
-    const RunResult r = run_circuit(c, sim, fused, opt);
+    const FusionResult r = fuse_circuit(c, {f});
+    sim.run(r.circuit, fused);
     EXPECT_LT(statespace::max_abs_diff(unfused, fused),
               10 * state_tol<TypeParam>())
         << f;
-    EXPECT_GT(r.sim_seconds, 0.0);
-    EXPECT_LE(r.fusion.output_gates, c.size());
+    EXPECT_LE(r.stats.output_gates, c.size());
   }
 }
 
@@ -174,11 +172,10 @@ TYPED_TEST(SimulatorCPUTyped, RunnerSamples) {
   c.gates.push_back(gates::x(1, 2));
   SimulatorCPU<TypeParam> sim;
   StateVector<TypeParam> s(3);
-  RunOptions opt;
-  opt.num_samples = 50;
-  const RunResult r = run_circuit(c, sim, s, opt);
-  ASSERT_EQ(r.samples.size(), 50u);
-  for (index_t v : r.samples) EXPECT_EQ(v, 0b101u);
+  sim.run(fuse_circuit(c, {}).circuit, s);
+  const std::vector<index_t> samples = statespace::sample(s, 50, 1);
+  ASSERT_EQ(samples.size(), 50u);
+  for (index_t v : samples) EXPECT_EQ(v, 0b101u);
 }
 
 TEST(SimulatorCPU, ApplyRejectsUnsortedDirectCall) {
