@@ -26,7 +26,7 @@
 //
 // Thread-safe; every public method and the capture sink take one mutex.
 // Overhead with default capacities is a few hundred nanoseconds per event,
-// verified by bench_engine_throughput --mode flightrec (budget: <= 2%).
+// gated by the BenchGates.FlightRecorderOverhead test (budget: <= 2%).
 #pragma once
 
 #include <cstdint>

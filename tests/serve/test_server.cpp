@@ -81,6 +81,31 @@ TEST(ServeServer, CircuitResultsBitIdenticalToDirect) {
   EXPECT_EQ(socket.amplitudes, direct.amplitudes);
   EXPECT_EQ(socket.state, direct.state);
   EXPECT_EQ(socket.backend_used, direct.backend_used);
+
+  // The same holds with four connections in flight at once, each on its
+  // own seeds.
+  constexpr unsigned kConns = 4, kPerConn = 4;
+  std::vector<SimResult> socket_by_seed(kConns * kPerConn);
+  std::vector<std::thread> threads;
+  for (unsigned conn = 0; conn < kConns; ++conn) {
+    threads.emplace_back([&, conn] {
+      Client c("127.0.0.1", server.port());
+      SimRequest r = req;
+      for (unsigned i = conn * kPerConn; i < (conn + 1) * kPerConn; ++i) {
+        r.seed = 100 + i;
+        socket_by_seed[i] = c.call(r);
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  for (unsigned i = 0; i < socket_by_seed.size(); ++i) {
+    req.seed = 100 + i;
+    const SimResult d = eng.run(req);
+    ASSERT_TRUE(socket_by_seed[i].ok) << socket_by_seed[i].error;
+    EXPECT_EQ(socket_by_seed[i].samples, d.samples);
+    EXPECT_EQ(socket_by_seed[i].amplitudes, d.amplitudes);
+    EXPECT_EQ(socket_by_seed[i].state, d.state);
+  }
   server.shutdown();
 }
 
