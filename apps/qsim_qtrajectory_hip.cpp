@@ -137,8 +137,6 @@ int main(int argc, char** argv) {
     engine::EngineOptions opt;
     opt.num_workers = std::max(1u, workers);
     opt.tracer = tp;
-    // "auto" must pick a noise-capable candidate; keep cpu on the list.
-    opt.planner_candidates = {"cpu", "hip", "a100"};
     engine::SimulationEngine eng(opt);
 
     engine::SimRequest req;

@@ -96,10 +96,6 @@ class CpuBackend final : public Backend {
   const std::string& description() const override { return description_; }
   Precision precision() const override { return precision_of<FP>(); }
 
-  // Bounded by host memory rather than a device; 2^30 single-precision
-  // amplitudes are 8 GiB, which is where a shared host stops being sane.
-  unsigned max_qubits() const override { return 30; }
-
   BackendRunOutput run(const Circuit& fused, const BackendRunSpec& rs) override {
     sim_.set_correlation(rs.corr);
     ScopeExit clear_corr([this] { sim_.set_correlation(0); });
@@ -161,12 +157,6 @@ class GpuBackend final : public Backend {
   const std::string& spec() const override { return spec_; }
   const std::string& description() const override { return description_; }
   Precision precision() const override { return precision_of<FP>(); }
-
-  unsigned max_qubits() const override {
-    // DeviceStateVector itself caps at 34 (the emulator's host-memory sanity
-    // bound); below that, the virtual device's HBM capacity decides.
-    return std::min(34u, vgpu::max_state_qubits(dev_.props(), sizeof(cplx<FP>)));
-  }
 
   BackendRunOutput run(const Circuit& fused, const BackendRunSpec& rs) override {
     dev_.set_correlation(rs.corr);
@@ -249,14 +239,6 @@ class MultiGcdBackend final : public Backend {
   const std::string& spec() const override { return spec_; }
   const std::string& description() const override { return description_; }
   Precision precision() const override { return precision_of<FP>(); }
-
-  unsigned max_qubits() const override {
-    const unsigned d = log2_exact(num_gcds_);
-    // Each GCD holds 2^(n-d) local amplitudes plus a half-size exchange
-    // staging buffer, hence the -1 headroom below the per-GCD capacity.
-    const unsigned local_cap = vgpu::max_state_qubits(props_, sizeof(cplx<FP>));
-    return std::min(34u, local_cap > 0 ? local_cap - 1 + d : 0);
-  }
 
   BackendRunOutput run(const Circuit& fused, const BackendRunSpec& rs) override {
     const unsigned n = fused.num_qubits;
@@ -381,10 +363,6 @@ class DistBackend final : public Backend {
   const std::string& description() const override { return description_; }
   Precision precision() const override { return precision_of<FP>(); }
 
-  // Host-memory bound, same budget as the cpu backend (the ranks partition
-  // one host allocation, they do not multiply it).
-  unsigned max_qubits() const override { return 30; }
-
   BackendRunOutput run(const Circuit& fused, const BackendRunSpec& rs) override {
     const unsigned n = fused.num_qubits;
 
@@ -495,12 +473,16 @@ std::unique_ptr<Backend> make_backend(const BackendSpec& spec, Tracer* tracer,
   }
   throw Error(
       "backend 'auto' names a placement policy, not a device: submit through "
-      "SimulationEngine with EngineOptions::enable_planner (DESIGN.md §13)");
+      "SimulationEngine, whose planner places it (DESIGN.md §13)");
 }
 
 }  // namespace
 
 BackendSpec Backend::spec_info() const { return BackendSpec::parse(spec()); }
+
+unsigned Backend::max_qubits() const {
+  return backend_max_qubits(spec_info(), precision());
+}
 
 bool is_backend_spec(const std::string& spec) {
   return BackendSpec::try_parse(spec).has_value();
@@ -508,21 +490,29 @@ bool is_backend_spec(const std::string& spec) {
 
 unsigned backend_max_qubits(const BackendSpec& spec, Precision p) {
   const std::size_t amp = amp_bytes(p);
+  // Device backends: DeviceStateVector itself caps at 34 (the emulator's
+  // host-memory sanity bound); below that, the virtual device's HBM
+  // capacity decides.
   switch (spec.kind) {
     case BackendSpec::Kind::kCpu:
-      return 30;  // CpuBackend's host-memory sanity bound
+      // Bounded by host memory rather than a device; 2^30 single-precision
+      // amplitudes are 8 GiB, which is where a shared host stops being sane.
+      return 30;
     case BackendSpec::Kind::kHip:
       return std::min(34u, vgpu::max_state_qubits(vgpu::mi250x_gcd(), amp));
     case BackendSpec::Kind::kA100:
       return std::min(34u, vgpu::max_state_qubits(vgpu::a100(), amp));
     case BackendSpec::Kind::kMultiGcd: {
-      // MultiGcdBackend: per-GCD slab + half-size exchange staging.
+      // Each GCD holds 2^(n-d) local amplitudes plus a half-size exchange
+      // staging buffer, hence the -1 headroom below the per-GCD capacity.
       const unsigned d = log2_exact(spec.ranks);
       const unsigned local_cap = vgpu::max_state_qubits(vgpu::mi250x_gcd(), amp);
       return std::min(34u, local_cap > 0 ? local_cap - 1 + d : 0);
     }
     case BackendSpec::Kind::kDist:
-      return 30;  // ranks partition one host allocation
+      // Same budget as cpu: the ranks partition one host allocation, they
+      // do not multiply it.
+      return 30;
     case BackendSpec::Kind::kAuto:
       return 0;
   }

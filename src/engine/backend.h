@@ -94,8 +94,9 @@ class Backend {
   virtual Precision precision() const = 0;
 
   // Largest qubit count a request may use before it must be rejected
-  // (bounded by the virtual device's global memory for GPU backends).
-  virtual unsigned max_qubits() const = 0;
+  // (bounded by the virtual device's global memory for GPU backends):
+  // backend_max_qubits(spec_info(), precision()).
+  unsigned max_qubits() const;
 
   // Runs `fused` from |0...0> and gathers the requested outputs. The circuit
   // must already be transpiled (or be intentionally unfused). Throws
@@ -118,10 +119,10 @@ bool is_backend_spec(const std::string& spec);
 
 // --- Planner capability hooks (no backend instance required) ----------------
 
-// Largest qubit count a backend created from `spec` would accept — the same
-// formula each Backend subclass's max_qubits() uses, evaluated from the spec
-// alone so the planner can score candidates it has not created yet.
-// Returns 0 for Kind::kAuto.
+// Largest qubit count a backend created from `spec` would accept — the one
+// definition behind Backend::max_qubits(), evaluated from the spec alone so
+// the planner can score candidates it has not created yet. Returns 0 for
+// Kind::kAuto.
 unsigned backend_max_qubits(const BackendSpec& spec, Precision p);
 
 // True if an n-qubit request fits `spec`: n <= backend_max_qubits plus the

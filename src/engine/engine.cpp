@@ -26,6 +26,9 @@ namespace {
 // want_state result is 1 GiB, which would make the LRU a memory bomb.
 constexpr std::size_t kMaxCachedResultBytes = std::size_t{32} << 20;
 
+// Fused circuits held by the engine's FusedCircuitCache (LRU).
+constexpr std::size_t kFusedCacheCapacity = 128;
+
 // Early stop needs a minimum sample before the stderr estimate means
 // anything; below this many accumulated trajectories the tolerance is
 // never consulted.
@@ -70,6 +73,29 @@ double stderr_of_mean(const cplx64& sum, double sumsq, std::size_t k) {
       std::max(0.0, (sumsq - static_cast<double>(k) * mean * mean) /
                         static_cast<double>(k - 1));
   return std::sqrt(var / static_cast<double>(k));
+}
+
+// The detail text of a request's enclosing `request` span.
+std::string outcome_text(const SimResult& r) {
+  if (!r.ok) return to_string(r.code);
+  if (r.result_cache_hit) return "ok: cache-hit";
+  if (r.kind == RequestKind::kTrajectory) {
+    return strfmt("ok on %s (trajectory x%zu)", r.backend_used.c_str(),
+                  r.trajectories_run);
+  }
+  return "ok on " + r.backend_used + (r.fallback_used ? " (fallback)" : "");
+}
+
+// The planner's candidate list: the EngineOptions allowlist, parsed.
+PlannerOptions planner_options(const std::vector<std::string>& allowlist) {
+  std::vector<std::string> cands = allowlist;
+  if (cands.empty()) cands = {"cpu", "hip", "a100"};
+  PlannerOptions po;
+  po.candidates.reserve(cands.size());
+  for (const std::string& c : cands) {
+    po.candidates.push_back(BackendSpec::parse(c));
+  }
+  return po;
 }
 
 SimErrorCode classify(ErrorCode code) {
@@ -179,39 +205,37 @@ struct SimulationEngine::Job {
   Timer queued;  // started at submit
   std::uint64_t corr = 0;       // request id = trace correlation id
   std::uint64_t submit_us = 0;  // trace timestamp of submit (Timer clock)
+  // Result-cache identity, set once the request passes validation: the
+  // summary's hash, the summary itself (collision guard), and the in-flight
+  // record this job owns — non-null iff it simulates a cacheable key, which
+  // finish() then publishes and memoizes.
+  std::uint64_t key = 0;
+  std::string summary;
+  std::shared_ptr<Flight> flight;
   // Non-null for a trajectory sub-job: the worker runs sub-runs of this
-  // batch instead of process() (the batch holds the promise; req is empty).
+  // batch instead of process() (the batch owns the request's job).
   std::shared_ptr<TrajectoryBatch> sub_batch;
 };
 
 // Shared state of one fanned-out trajectory batch (DESIGN.md §14). The
-// launching worker fills the immutable section, enqueues min(N, workers)
-// sub-jobs at the queue front, and returns to the pool — it never blocks on
-// the batch. Sub-runs claim trajectory indices from next_run and stream
-// their contributions through the reorder buffer (pending_*) so the
-// accumulation happens in strict trajectory order: bit-identical to the
-// serial reference loop, and the early-stop decision is a deterministic
-// function of the ordered prefix. The last sub-run to exit finalizes.
+// launching worker moves the request's Job in, fills the immutable section,
+// enqueues min(N, workers) sub-jobs at the queue front, and returns to the
+// pool — it never blocks on the batch. Sub-runs claim trajectory indices
+// from next_run and stream their contributions through the reorder buffer
+// (pending_*) so the accumulation happens in strict trajectory order:
+// bit-identical to the serial reference loop, and the early-stop decision
+// is a deterministic function of the ordered prefix. The last sub-run to
+// exit finalizes.
 struct SimulationEngine::TrajectoryBatch {
   // Immutable after launch.
-  SimRequest req;
+  Job job;  // the request; finish()ed by the last sub-run
   std::shared_ptr<const FusionResult> prepared;  // normalized circuit
-  std::string spec;            // resolved noise-capable backend spec
   bool observable_mode = false;
-  std::size_t total = 0;       // requested trajectory count N
-  double raw_pred_total = 0;   // N x per-trajectory roofline pricing
+  Booking booking;  // N x per-trajectory roofline pricing on the backend
   Deadline deadline;
-  std::uint64_t corr = 0;
-  std::uint64_t submit_us = 0;
   std::uint64_t run_start_us = 0;
-  Timer queued;     // copy of the job's submit timer (total_seconds)
   Timer run_timer;  // started at launch (run_seconds)
-  std::promise<SimResult> promise;
-  CompletionFn on_done;  // taken over from the job, like the promise
-  std::shared_ptr<Flight> flight;  // non-null iff the request is cacheable
-  std::uint64_t key = 0;
-  std::string summary;
-  SimResult base;  // queue/fuse fields prefilled by the launcher
+  SimResult base;   // queue/fuse fields prefilled by the launcher
 
   // Guarded by mu.
   std::mutex mu;
@@ -239,15 +263,15 @@ struct SimulationEngine::BackendSlot {
 };
 
 SimulationEngine::SimulationEngine(EngineOptions opt)
-    : opt_(std::move(opt)), fused_cache_(opt_.fused_cache_capacity) {
+    : opt_(std::move(opt)),
+      fused_cache_(kFusedCacheCapacity),
+      planner_(planner_options(opt_.planner_candidates)) {
   // The header promises "min 1"; clamp the stored options so options()
   // reports what actually runs and num_workers = 0 cannot deadlock submit.
   opt_.num_workers = std::max(1u, opt_.num_workers);
   if (opt_.flight_recorder_capacity > 0) {
     prof::FlightRecorderOptions fro;
     fro.capacity = opt_.flight_recorder_capacity;
-    fro.max_events_per_request =
-        std::max<std::size_t>(1, opt_.flight_recorder_events_per_request);
     recorder_ = std::make_unique<prof::FlightRecorder>(fro);
     recorder_->set_downstream(opt_.tracer);
     trace_ = &recorder_->sink();
@@ -256,16 +280,6 @@ SimulationEngine::SimulationEngine(EngineOptions opt)
   }
   if (!opt_.watchdog.rules.empty()) {
     watchdog_ = std::make_unique<SloWatchdog>(opt_.watchdog);
-  }
-  if (opt_.enable_planner) {
-    PlannerOptions po;
-    std::vector<std::string> cands = opt_.planner_candidates;
-    if (cands.empty()) cands = {"cpu", "hip", "a100"};
-    po.candidates.reserve(cands.size());
-    for (const std::string& c : cands) {
-      po.candidates.push_back(BackendSpec::parse(c));
-    }
-    planner_ = std::make_unique<Planner>(std::move(po));
   }
   workers_.reserve(opt_.num_workers);
   for (unsigned i = 0; i < opt_.num_workers; ++i) {
@@ -300,26 +314,11 @@ void SimulationEngine::stop() {
   }
   queue_cv_.notify_all();
   for (Job& job : dropped) {
-    SimResult r = rejected("engine stopped: request drained from queue");
-    r.request_id = job.corr;
-    r.kind = job.req.kind;
-    r.total_seconds = job.queued.seconds();
-    span("request", job.corr, job.submit_us,
-         static_cast<std::uint64_t>(r.total_seconds * 1e6), "drained");
-    record_done(r);
-    deliver(job, std::move(r));
+    finish(job, rejected("engine stopped: request drained from queue"));
   }
   for (std::thread& t : workers_) {
     if (t.joinable()) t.join();
   }
-}
-
-void SimulationEngine::deliver(Job& job, SimResult res) {
-  if (job.on_done) {
-    job.on_done(std::move(res));
-    return;
-  }
-  job.promise.set_value(std::move(res));
 }
 
 SimResult SimulationEngine::rejected(std::string why, SimErrorCode code) {
@@ -364,11 +363,7 @@ std::uint64_t SimulationEngine::submit_job(Job&& job) {
   span("admit", corr, submit_us, Timer::now_micros() - submit_us,
        reject_now ? why : std::string());
   if (reject_now) {
-    SimResult r = rejected(std::move(why));
-    r.request_id = corr;
-    r.kind = job.req.kind;
-    record_done(r);
-    deliver(job, std::move(r));
+    finish(job, rejected(std::move(why)));
   } else {
     queue_cv_.notify_one();
   }
@@ -439,6 +434,33 @@ void SimulationEngine::adjust_load(const std::string& spec, double delta) {
   v = std::max(0.0, v + delta);
 }
 
+SimulationEngine::Booking SimulationEngine::book(const std::string& spec,
+                                                 const Circuit& circuit,
+                                                 Precision precision,
+                                                 std::size_t runs) {
+  Booking b{spec, 0};
+  try {
+    b.raw_seconds = static_cast<double>(runs) *
+                    Planner::raw_predict(
+                        BackendSpec::parse(spec),
+                        perfmodel::WorkloadStats::from_circuit(circuit),
+                        precision);
+  } catch (const Error&) {
+    b.raw_seconds = 0;  // un-modellable: run unpriced
+  }
+  adjust_load(spec, b.raw_seconds);
+  return b;
+}
+
+void SimulationEngine::settle(const Booking& booking, unsigned num_qubits,
+                              unsigned max_fused, double observed_seconds) {
+  if (booking.raw_seconds <= 0) return;
+  adjust_load(booking.spec, -booking.raw_seconds);
+  // book() already parsed the spec, or raw_seconds would be 0.
+  planner_.observe(BackendSpec::parse(booking.spec), num_qubits, max_fused,
+                   booking.raw_seconds, observed_seconds);
+}
+
 std::uint64_t SimulationEngine::result_key(const std::string& summary) {
   std::uint64_t h = 0xcbf29ce484222325ull;  // FNV-1a, like hash_circuit
   for (const unsigned char c : summary) {
@@ -479,42 +501,31 @@ SimResult SimulationEngine::execute_with_retries(const SimRequest& q,
          fused_hit ? "cache-hit" : "cache-miss");
 
     BackendSlot& slot = resolve_backend(spec, q.precision);
-    if (q.circuit.num_qubits > slot.backend->max_qubits()) {
+    if (const unsigned cap = slot.backend->max_qubits();
+        q.circuit.num_qubits > cap) {
       // OOM-class by construction: the state cannot fit, so the fallback
       // ladder (if any) is the right next step, but retrying here is not.
       SimResult r = rejected(
           strfmt("request uses %u qubits but backend '%s' fits at most %u in "
                  "device memory",
-                 q.circuit.num_qubits, spec.c_str(), slot.backend->max_qubits()),
+                 q.circuit.num_qubits, spec.c_str(), cap),
           SimErrorCode::kOutOfMemory);
       r.backend_used = spec;
       return r;
     }
 
-    // Price this run on the load map (and later feed its observed time back
-    // to calibration) — for every backend, not just planner placements, so
-    // the planner sees *all* in-flight work. Reuses the fused result above:
-    // no extra fused-cache traffic.
-    double raw_pred = 0;
-    if (planner_) {
-      try {
-        raw_pred = Planner::raw_predict(
-            BackendSpec::parse(spec),
-            perfmodel::WorkloadStats::from_circuit(fused->circuit),
-            q.precision);
-      } catch (const Error&) {
-        raw_pred = 0;  // un-modellable: run unpriced
-      }
-      adjust_load(spec, raw_pred);
-    }
-    struct LoadGuard {
+    // Price this run on the load map (and feed its observed time back to
+    // calibration) — for every backend, not just planner placements, so the
+    // planner sees *all* in-flight work. Reuses the fused result above: no
+    // extra fused-cache traffic. The guard settles on every exit path.
+    struct SettleGuard {
       SimulationEngine* eng;
-      const std::string& spec;
-      double v;
-      ~LoadGuard() {
-        if (v > 0) eng->adjust_load(spec, -v);
-      }
-    } load_guard{this, spec, raw_pred};
+      Booking booking;
+      unsigned num_qubits, max_fused;
+      double observed = 0;  // execute seconds of a successful attempt
+      ~SettleGuard() { eng->settle(booking, num_qubits, max_fused, observed); }
+    } settle_guard{this, book(spec, fused->circuit, q.precision, 1),
+                   q.circuit.num_qubits, fusion.max_fused_qubits};
 
     BackendRunSpec rs;
     rs.seed = q.seed;
@@ -555,12 +566,8 @@ SimResult SimulationEngine::execute_with_retries(const SimRequest& q,
         res.ok = true;
         res.code = SimErrorCode::kOk;
         res.backend_used = spec;
-        if (planner_ && raw_pred > 0) {
-          // Sampling time is excluded: the roofline models gate application.
-          planner_->observe(slot.backend->spec_info(), q.circuit.num_qubits,
-                            fusion.max_fused_qubits, raw_pred,
-                            res.run_seconds - res.sample_seconds);
-        }
+        // Sampling time is excluded: the roofline models gate application.
+        settle_guard.observed = res.run_seconds - res.sample_seconds;
         return res;
       } catch (const CodedError& e) {
         const SimErrorCode code = classify(e.code());
@@ -599,9 +606,6 @@ void SimulationEngine::process(Job& job) {
   res.queue_seconds = job.queued.seconds();
   span("queue", job.corr, job.submit_us,
        static_cast<std::uint64_t>(res.queue_seconds * 1e6));
-  std::uint64_t key = 0;
-  std::string summary;
-  std::shared_ptr<Flight> flight;  // non-null iff this worker owns the run
 
   try {
     if (q.timeout_seconds > 0 && res.queue_seconds > q.timeout_seconds) {
@@ -619,11 +623,6 @@ void SimulationEngine::process(Job& job) {
     } else if (!is_backend_spec(q.backend)) {
       res = rejected("unknown backend '" + q.backend + "' (expected " +
                      backend_spec_grammar() + ")");
-    } else if (!planner_ && BackendSpec::parse(q.backend).kind ==
-                                BackendSpec::Kind::kAuto) {
-      res = rejected(
-          "backend 'auto' requires the placement planner "
-          "(EngineOptions::enable_planner)");
     } else if (q.kind == RequestKind::kExpectation &&
                q.observable.strings.empty()) {
       res = rejected("expectation request has an empty observable");
@@ -658,17 +657,17 @@ void SimulationEngine::process(Job& job) {
       }
       // One canonical summary per request: its hash is the result key and
       // the bytes are the collision guard stored beside the cached result.
-      summary = canonical_request_summary(q);
-      key = result_key(summary);
+      job.summary = canonical_request_summary(q);
+      job.key = result_key(job.summary);
       const bool cacheable =
           !q.bypass_result_cache && opt_.result_cache_capacity > 0;
       bool served = false;
       if (cacheable) {
         std::unique_lock lk(results_mu_);
         for (;;) {
-          auto it = result_index_.find(key);
+          auto it = result_index_.find(job.key);
           if (it != result_index_.end() &&
-              it->second->second.summary == summary) {
+              it->second->second.summary == job.summary) {
             result_lru_.splice(result_lru_.begin(), result_lru_, it->second);
             const double queued = res.queue_seconds;
             res = it->second->second.result;  // copy the cached payload
@@ -680,17 +679,17 @@ void SimulationEngine::process(Job& job) {
             served = true;
             break;
           }
-          auto fit = in_flight_.find(key);
+          auto fit = in_flight_.find(job.key);
           if (fit == in_flight_.end()) {
             // We simulate this key; identical requests dequeued meanwhile
             // wait below instead of duplicating the run (anti-stampede).
-            flight = std::make_shared<Flight>();
-            flight->summary = summary;
-            in_flight_.emplace(key, flight);
+            job.flight = std::make_shared<Flight>();
+            job.flight->summary = job.summary;
+            in_flight_.emplace(job.key, job.flight);
             break;
           }
           std::shared_ptr<Flight> f = fit->second;
-          if (f->summary != summary) {
+          if (f->summary != job.summary) {
             // 64-bit key collision with a different request mid-flight: wait
             // it out, then re-examine (we never share its result).
             results_cv_.wait(lk, [&] { return f->done; });
@@ -731,12 +730,12 @@ void SimulationEngine::process(Job& job) {
           // candidate that fits — trajectory batches are priced as N x the
           // per-trajectory prediction, but all noise work runs host-side
           // today, so there is exactly one placement class), then fan the
-          // batch out across the workers. The batch takes over the promise
-          // and flight; the last sub-run completes the request.
+          // batch out across the workers. The batch takes over the job; the
+          // last sub-run finishes it.
           std::string traj_spec = q.backend;
           if (BackendSpec::parse(q.backend).kind == BackendSpec::Kind::kAuto) {
             traj_spec.clear();
-            for (const BackendSpec& c : planner_->options().candidates) {
+            for (const BackendSpec& c : planner_.options().candidates) {
               if (backend_supports_noise(c) &&
                   backend_fits(c, q.circuit.num_qubits, q.precision)) {
                 traj_spec = c.to_string();
@@ -749,8 +748,7 @@ void SimulationEngine::process(Job& job) {
                 "backend 'auto' found no noise-capable candidate for this "
                 "trajectory workload (planner_candidates needs 'cpu')");
           } else {
-            launch_trajectory_batch(job, key, std::move(summary),
-                                    std::move(flight), traj_spec, deadline,
+            launch_trajectory_batch(job, traj_spec, deadline,
                                     res.queue_seconds);
             return;
           }
@@ -763,8 +761,7 @@ void SimulationEngine::process(Job& job) {
           FusionOptions run_fusion = q.fusion;
           PlanChoice plan;
           bool planned = false;
-          if (planner_ &&
-              BackendSpec::parse(q.backend).kind == BackendSpec::Kind::kAuto) {
+          if (BackendSpec::parse(q.backend).kind == BackendSpec::Kind::kAuto) {
             const std::uint64_t plan_start_us = Timer::now_micros();
             const auto load_of = [this](const BackendSpec& s) {
               return queued_load(s.to_string());
@@ -780,9 +777,9 @@ void SimulationEngine::process(Job& job) {
             }
             const bool plan_cached = static_cast<bool>(hit);
             if (hit) {
-              plan = planner_->rescore(*hit, q.circuit.num_qubits, load_of);
+              plan = planner_.rescore(*hit, q.circuit.num_qubits, load_of);
             } else {
-              plan = planner_->plan(
+              plan = planner_.plan(
                   q.circuit.num_qubits, q.precision,
                   {q.fusion.window_moments, 2 * q.fusion.window_moments},
                   [this, &q](const FusionOptions& fo) {
@@ -840,22 +837,6 @@ void SimulationEngine::process(Job& job) {
             res.counters["planner/window"] =
                 static_cast<double>(plan.fusion.window_moments);
           }
-
-          if (res.ok && opt_.result_cache_capacity > 0 &&
-              approx_result_bytes(res) <= kMaxCachedResultBytes) {
-            std::lock_guard lk(results_mu_);
-            auto it = result_index_.find(key);
-            if (it != result_index_.end()) {
-              result_lru_.erase(it->second);
-              result_index_.erase(it);
-            }
-            result_lru_.emplace_front(key, CacheEntry{summary, res});
-            result_index_[key] = result_lru_.begin();
-            while (result_lru_.size() > opt_.result_cache_capacity) {
-              result_index_.erase(result_lru_.back().first);
-              result_lru_.pop_back();
-            }
-          }
         }
       }
     }
@@ -865,41 +846,54 @@ void SimulationEngine::process(Job& job) {
     res = rejected(std::string("internal error: ") + e.what(),
                    SimErrorCode::kInternal);
   }
+  finish(job, std::move(res));
+}
 
-  if (flight) {
-    // Publish the outcome — success or failure — to every coalesced waiter,
-    // then release the key so later requests can start fresh.
+void SimulationEngine::finish(Job& job, SimResult res) {
+  if (job.flight) {
+    // Publish the outcome — success or failure — to every coalesced waiter
+    // and release the key so later requests can start fresh. A success is
+    // memoized under the same lock, so a request dequeued meanwhile finds
+    // either the flight or the cache entry, never neither.
     std::lock_guard lk(results_mu_);
-    flight->result = res;
-    flight->done = true;
-    in_flight_.erase(key);
+    job.flight->result = res;
+    job.flight->done = true;
+    in_flight_.erase(job.key);
+    if (res.ok && approx_result_bytes(res) <= kMaxCachedResultBytes) {
+      auto it = result_index_.find(job.key);
+      if (it != result_index_.end()) {
+        result_lru_.erase(it->second);
+        result_index_.erase(it);
+      }
+      result_lru_.emplace_front(job.key, CacheEntry{job.summary, res});
+      result_index_[job.key] = result_lru_.begin();
+      while (result_lru_.size() > opt_.result_cache_capacity) {
+        result_index_.erase(result_lru_.back().first);
+        result_lru_.pop_back();
+      }
+    }
     results_cv_.notify_all();
   }
 
   res.request_id = job.corr;
-  res.kind = q.kind;
+  res.kind = job.req.kind;
   res.total_seconds = job.queued.seconds();
   // Enclosing span: the flow-event anchor linking this request's trace row
   // to the kernels and memcpys its backend run produced.
-  std::string outcome;
-  if (!res.ok) {
-    outcome = to_string(res.code);
-  } else if (res.result_cache_hit) {
-    outcome = "ok: cache-hit";
-  } else {
-    outcome = "ok on " + res.backend_used;
-    if (res.fallback_used) outcome += " (fallback)";
-  }
   span("request", job.corr, job.submit_us,
-       static_cast<std::uint64_t>(res.total_seconds * 1e6), outcome);
+       static_cast<std::uint64_t>(res.total_seconds * 1e6), outcome_text(res));
   record_done(res);
-  deliver(job, std::move(res));
+  if (job.on_done) {
+    job.on_done(std::move(res));
+  } else {
+    job.promise.set_value(std::move(res));
+  }
 }
 
-void SimulationEngine::launch_trajectory_batch(
-    Job& job, std::uint64_t key, std::string summary,
-    std::shared_ptr<Flight> flight, const std::string& spec,
-    const Deadline& deadline, double queue_seconds) {
+void SimulationEngine::launch_trajectory_batch(Job& job,
+                                               const std::string& spec,
+                                               const Deadline& deadline,
+                                               double queue_seconds) {
   auto batch = std::make_shared<TrajectoryBatch>();
   const SimRequest& q = job.req;
   const std::size_t n_traj = q.num_trajectories;
@@ -922,41 +916,16 @@ void SimulationEngine::launch_trajectory_batch(
   // Price the batch as N x the per-trajectory roofline prediction so the
   // load map (and through it, "auto" placement of concurrent requests) sees
   // noisy workloads at their real weight (DESIGN.md §14).
-  double raw_total = 0;
-  if (planner_) {
-    try {
-      raw_total =
-          static_cast<double>(n_traj) *
-          Planner::raw_predict(
-              BackendSpec::parse(spec),
-              perfmodel::WorkloadStats::from_circuit(batch->prepared->circuit),
-              q.precision);
-    } catch (const Error&) {
-      raw_total = 0;  // un-modellable: run unpriced
-    }
-    adjust_load(spec, raw_total);
-  }
-
-  batch->spec = spec;
+  batch->booking = book(spec, batch->prepared->circuit, q.precision, n_traj);
   batch->observable_mode = !q.observable.strings.empty();
-  batch->total = n_traj;
   batch->stop_at = n_traj;
-  batch->raw_pred_total = raw_total;
   batch->deadline = deadline;
-  batch->corr = job.corr;
-  batch->submit_us = job.submit_us;
   batch->run_start_us = Timer::now_micros();
-  batch->queued = job.queued;
-  batch->key = key;
-  batch->summary = std::move(summary);
-  batch->flight = std::move(flight);
   batch->base.queue_seconds = queue_seconds;
-  batch->promise = std::move(job.promise);
-  batch->on_done = std::move(job.on_done);
-  batch->req = std::move(job.req);
   if (!batch->observable_mode) {
-    batch->dist.assign(pow2(batch->req.circuit.num_qubits), 0.0);
+    batch->dist.assign(pow2(q.circuit.num_qubits), 0.0);
   }
+  batch->job = std::move(job);  // `q` is gone from here on
   {
     std::lock_guard lk(metrics_mu_);
     ++metrics_.trajectory_batches;
@@ -975,7 +944,7 @@ void SimulationEngine::launch_trajectory_batch(
     for (unsigned i = 0; i < fan; ++i) {
       Job sub;
       sub.sub_batch = batch;
-      sub.corr = batch->corr;
+      sub.corr = batch->job.corr;
       // Sub-jobs jump the queue: the launching worker returns to the pool
       // rather than blocking, and draining subs first keeps coalesced
       // waiters (which occupy workers) from starving the batch they wait
@@ -988,7 +957,7 @@ void SimulationEngine::launch_trajectory_batch(
 
 void SimulationEngine::trajectory_sub_loop(
     const std::shared_ptr<TrajectoryBatch>& batch) {
-  if (batch->req.precision == Precision::kSingle) {
+  if (batch->job.req.precision == Precision::kSingle) {
     run_trajectory_subs<float>(*batch);
   } else {
     run_trajectory_subs<double>(*batch);
@@ -1003,12 +972,13 @@ void SimulationEngine::trajectory_sub_loop(
 
 template <typename FP>
 void SimulationEngine::run_trajectory_subs(TrajectoryBatch& b) {
-  // A dedicated per-sub pool: its width fixes the fp reduction order inside
-  // apply_channel / obs::expectation, so trajectory_threads = 1 reproduces
-  // the serial reference bit for bit regardless of how many engine workers
-  // share the batch.
-  ThreadPool pool(std::max(1u, opt_.trajectory_threads));
-  StateVector<FP> state(b.req.circuit.num_qubits);
+  // A dedicated one-thread pool per sub-run: the pool width fixes the fp
+  // reduction order inside apply_channel / obs::expectation, and width 1
+  // reproduces the serial reference bit for bit regardless of how many
+  // engine workers share the batch (DESIGN.md §14).
+  ThreadPool pool(1);
+  const SimRequest& q = b.job.req;
+  StateVector<FP> state(q.circuit.num_qubits);
   std::vector<double> contrib;
   for (;;) {
     std::size_t t;
@@ -1018,11 +988,10 @@ void SimulationEngine::run_trajectory_subs(TrajectoryBatch& b) {
       t = b.next_run++;
     }
     try {
-      noise::run_trajectory_prepared<FP>(b.prepared->circuit, b.req.noise,
-                                         b.req.seed, t, state, pool,
-                                         b.deadline);
+      noise::run_trajectory_prepared<FP>(b.prepared->circuit, q.noise, q.seed,
+                                         t, state, pool, b.deadline);
       if (b.observable_mode) {
-        const cplx64 v = obs::expectation(b.req.observable, state, pool);
+        const cplx64 v = obs::expectation(q.observable, state, pool);
         std::lock_guard lk(b.mu);
         ++b.executed;
         if (t < b.stop_at) b.pending_vals.emplace(t, v);
@@ -1036,10 +1005,10 @@ void SimulationEngine::run_trajectory_subs(TrajectoryBatch& b) {
           b.val_sumsq += u.real() * u.real();
           ++b.next_accum;
           const std::size_t k = b.next_accum;
-          if (b.req.trajectory_tolerance > 0 &&
-              k >= kMinTrajectoriesForStop && k < b.stop_at &&
+          if (q.trajectory_tolerance > 0 && k >= kMinTrajectoriesForStop &&
+              k < b.stop_at &&
               stderr_of_mean(b.val_sum, b.val_sumsq, k) <=
-                  b.req.trajectory_tolerance) {
+                  q.trajectory_tolerance) {
             b.stop_at = k;
             b.early_stopped = true;
             // Everything still pending is at index >= k: discarded.
@@ -1092,24 +1061,18 @@ void SimulationEngine::run_trajectory_subs(TrajectoryBatch& b) {
 void SimulationEngine::finalize_trajectory_batch(TrajectoryBatch& b) {
   // Last sub-run standing: every other accessor is gone, so the batch state
   // is ours without the lock.
-  if (b.raw_pred_total > 0) adjust_load(b.spec, -b.raw_pred_total);
-
+  const std::string& spec = b.booking.spec;
+  const std::size_t total = b.job.req.num_trajectories;
   const std::size_t k = b.next_accum;
   SimResult res = std::move(b.base);
+  res.backend_used = spec;
   if (b.failed) {
-    const double queued = res.queue_seconds;
-    const double fuse = res.fuse_seconds;
-    SimResult r = rejected(b.fail_error, b.fail_code);
-    r.fusion = res.fusion;
-    r.fused_cache_hit = res.fused_cache_hit;
-    res = std::move(r);
-    res.queue_seconds = queued;
-    res.fuse_seconds = fuse;
-    res.backend_used = b.spec;
+    res.ok = false;
+    res.code = b.fail_code;
+    res.error = std::move(b.fail_error);
   } else {
     res.ok = true;
     res.code = SimErrorCode::kOk;
-    res.backend_used = b.spec;
     res.attempts = 1;
     res.trajectories_run = k;
     res.run_seconds = b.run_timer.seconds();
@@ -1120,69 +1083,23 @@ void SimulationEngine::finalize_trajectory_batch(TrajectoryBatch& b) {
       res.distribution = std::move(b.dist);
       for (double& v : res.distribution) v /= static_cast<double>(k);
     }
-    res.counters["trajectory/requested"] = static_cast<double>(b.total);
+    res.counters["trajectory/requested"] = static_cast<double>(total);
     res.counters["trajectory/executed"] = static_cast<double>(b.executed);
     res.counters["trajectory/early_stopped"] = b.early_stopped ? 1.0 : 0.0;
-    if (planner_ && b.raw_pred_total > 0) {
-      // Feed the batch wall-clock back: calibration learns the effective
-      // per-trajectory rate including the fan-out speedup.
-      try {
-        planner_->observe(BackendSpec::parse(b.spec),
-                          b.req.circuit.num_qubits, 1, b.raw_pred_total,
-                          res.run_seconds);
-      } catch (const Error&) {
-      }
-    }
     std::lock_guard lk(metrics_mu_);
     metrics_.trajectories_run += b.executed;
     if (b.early_stopped) ++metrics_.trajectory_early_stops;
     metrics_.trajectories_per_batch.record(static_cast<double>(k));
   }
-  span("trajectory", b.corr, b.run_start_us,
+  // Calibration learns the batch wall-clock: the effective per-trajectory
+  // rate including the fan-out speedup.
+  settle(b.booking, b.job.req.circuit.num_qubits, 1,
+         res.ok ? res.run_seconds : 0);
+  span("trajectory", b.job.corr, b.run_start_us,
        static_cast<std::uint64_t>(res.run_seconds * 1e6),
-       strfmt("%zu/%zu trajectories on %s%s", k, b.total, b.spec.c_str(),
+       strfmt("%zu/%zu trajectories on %s%s", k, total, spec.c_str(),
               b.early_stopped ? " (early stop)" : ""));
-
-  if (res.ok && b.flight && opt_.result_cache_capacity > 0 &&
-      approx_result_bytes(res) <= kMaxCachedResultBytes) {
-    std::lock_guard lk(results_mu_);
-    auto it = result_index_.find(b.key);
-    if (it != result_index_.end()) {
-      result_lru_.erase(it->second);
-      result_index_.erase(it);
-    }
-    result_lru_.emplace_front(b.key, CacheEntry{b.summary, res});
-    result_index_[b.key] = result_lru_.begin();
-    while (result_lru_.size() > opt_.result_cache_capacity) {
-      result_index_.erase(result_lru_.back().first);
-      result_lru_.pop_back();
-    }
-  }
-  if (b.flight) {
-    std::lock_guard lk(results_mu_);
-    b.flight->result = res;
-    b.flight->done = true;
-    in_flight_.erase(b.key);
-    results_cv_.notify_all();
-  }
-
-  res.request_id = b.corr;
-  res.kind = RequestKind::kTrajectory;
-  res.total_seconds = b.queued.seconds();
-  std::string outcome;
-  if (!res.ok) {
-    outcome = to_string(res.code);
-  } else {
-    outcome = strfmt("ok on %s (trajectory x%zu)", b.spec.c_str(), k);
-  }
-  span("request", b.corr, b.submit_us,
-       static_cast<std::uint64_t>(res.total_seconds * 1e6), outcome);
-  record_done(res);
-  if (b.on_done) {
-    b.on_done(std::move(res));
-  } else {
-    b.promise.set_value(std::move(res));
-  }
+  finish(b.job, std::move(res));
 }
 
 void SimulationEngine::record_done(const SimResult& res) {
@@ -1337,16 +1254,14 @@ EngineMetrics SimulationEngine::metrics() const {
   EngineMetrics m = metrics_;
   lk.unlock();
   m.fused_cache = fused_cache_.stats();
-  if (planner_) {
-    const PlannerStats ps = planner_->stats();
-    m.planner_decisions = ps.decisions;
-    m.planner_calibrated_decisions = ps.calibrated_decisions;
-    m.planner_observations = ps.observations;
-    m.planner_predicted_seconds = ps.predicted_seconds_total;
-    m.planner_observed_seconds = ps.observed_seconds_total;
-    m.planner_chosen = ps.chosen;
-    m.planner_calibration = ps.calibration;
-  }
+  const PlannerStats pl = planner_.stats();
+  m.planner_decisions = pl.decisions;
+  m.planner_calibrated_decisions = pl.calibrated_decisions;
+  m.planner_observations = pl.observations;
+  m.planner_predicted_seconds = pl.predicted_seconds_total;
+  m.planner_observed_seconds = pl.observed_seconds_total;
+  m.planner_chosen = pl.chosen;
+  m.planner_calibration = pl.calibration;
   {
     std::lock_guard blk(backends_mu_);
     m.backends_created = backends_.size();

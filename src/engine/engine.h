@@ -104,7 +104,8 @@ struct SimRequest {
   Circuit circuit;
   // Any BackendSpec string: "cpu" | "hip" | "a100" | "hip:N" | "dist:N",
   // or "auto" to let the engine's cost-model planner pick both the backend
-  // AND the fusion options (DESIGN.md §13; requires enable_planner).
+  // AND the fusion options among EngineOptions::planner_candidates
+  // (DESIGN.md §13).
   std::string backend = "cpu";
   Precision precision = Precision::kSingle;
   // How to fuse — the same FusionOptions the FusedCircuitCache keys on and
@@ -117,7 +118,8 @@ struct SimRequest {
   // Deadline in seconds since submit; 0 = none. Enforced at dequeue AND
   // cooperatively between fused-gate applications mid-run.
   double timeout_seconds = 0;
-  // Forces a fresh simulation even when an identical request is cached.
+  // Forces a fresh simulation even when an identical request is cached; the
+  // run neither reads nor fills the result cache and coalesces with nothing.
   bool bypass_result_cache = false;
 
   // Workload kind; the fields below it are only read for the kinds noted.
@@ -179,7 +181,6 @@ struct SimResult {
 
 struct EngineOptions {
   unsigned num_workers = 2;                // scheduler threads (min 1)
-  std::size_t fused_cache_capacity = 128;  // circuits; 0 disables the cache
   std::size_t result_cache_capacity = 64;  // requests; 0 disables memoization
   unsigned max_qubits = 26;     // engine-wide cap (the drivers' host cap)
   std::size_t max_pending = 1024;  // queue bound; beyond it submissions reject
@@ -199,29 +200,19 @@ struct EngineOptions {
   // engine creates (QHIP_FAULT_SPEC grammar; see src/vgpu/fault.h).
   std::string fault_spec;
 
-  // Cost-model planner behind backend = "auto" (DESIGN.md §13). When
-  // enabled, the engine owns a Planner that scores every candidate backend
-  // against the calibrated roofline and current load, and calibrates online
-  // from every completed run (explicit-backend runs included). When
-  // disabled, "auto" requests are rejected at admission.
-  bool enable_planner = true;
-  // Allowlist of backend specs "auto" may place onto; empty means
-  // {"cpu", "hip", "a100"}. Each entry must parse as a runnable spec —
-  // the constructor throws qhip::Error otherwise.
+  // Cost-model planner behind backend = "auto" (DESIGN.md §13): the engine
+  // owns a Planner that scores every candidate backend against the
+  // calibrated roofline and current load, and calibrates online from every
+  // completed run (explicit-backend runs included). This is the allowlist of
+  // backend specs "auto" may place onto; empty means {"cpu", "hip", "a100"}.
+  // Each entry must parse as a runnable spec — the constructor throws
+  // qhip::Error otherwise.
   std::vector<std::string> planner_candidates;
-
-  // Threads per trajectory sub-run (each worker runs its sub-runs on its own
-  // pool of this size). The default of 1 makes a trajectory batch bit-
-  // identical to the serial run_trajectory reference loop — the fp reduction
-  // order inside apply_channel depends on the pool width; raise it to trade
-  // that identity for per-trajectory speed on big states.
-  unsigned trajectory_threads = 1;
 
   // Always-on flight recorder (src/prof/flight_recorder.h): the last
   // this-many completed requests are reconstructible as a Perfetto snapshot
   // after the fact. 0 disables it (trace_sink() then returns opt_.tracer).
   std::size_t flight_recorder_capacity = 256;
-  std::size_t flight_recorder_events_per_request = 256;
 
   // SLO watchdog (src/engine/watchdog.h): armed iff watchdog.rules is
   // non-empty. A breach bumps EngineMetrics::slo_breaches and — when
@@ -362,11 +353,11 @@ class SimulationEngine {
   // is clamped to the promised minimum of 1).
   const EngineOptions& options() const { return opt_; }
 
-  // The "auto" placement planner; nullptr when EngineOptions::enable_planner
-  // is false. Exposed so callers can seed or inspect calibration directly
-  // (tests inject observations; dashboards read stats()).
-  Planner* planner() { return planner_.get(); }
-  const Planner* planner() const { return planner_.get(); }
+  // The "auto" placement planner (never null). Exposed so callers can seed
+  // or inspect calibration directly (tests inject observations; dashboards
+  // read stats()).
+  Planner* planner() { return &planner_; }
+  const Planner* planner() const { return &planner_; }
 
   EngineMetrics metrics() const;
 
@@ -424,12 +415,22 @@ class SimulationEngine {
     SimResult result;
   };
 
+  // A run's price on the load map (DESIGN.md §13): raw roofline seconds
+  // queued on `spec` from book() to settle(); 0 = un-modellable, unpriced.
+  struct Booking {
+    std::string spec;
+    double raw_seconds = 0;
+  };
+
   void worker_loop();
   // Admission (queue bound, stop flag) shared by both submit overloads;
-  // fulfils the job immediately on rejection.
+  // finishes the job immediately on rejection.
   std::uint64_t submit_job(Job&& job);
-  // Fulfils the job's promise or completion callback (exactly one is set).
-  static void deliver(Job& job, SimResult res);
+  // The one completion path of every request: publishes the owned flight to
+  // coalesced waiters and memoizes an ok result, stamps request_id / kind /
+  // total_seconds, emits the enclosing `request` span, records metrics and
+  // the flight-recorder entry, then fulfils the promise or callback.
+  void finish(Job& job, SimResult res);
   void process(Job& job);
   // One attempt ladder on `spec` with `fusion` (the request's own, or the
   // planner's choice): fuse (cached), admission-check against the backend's
@@ -444,19 +445,22 @@ class SimulationEngine {
   void span(const char* name, std::uint64_t corr, std::uint64_t ts_us,
             std::uint64_t dur_us, std::string detail = {}) const;
   BackendSlot& resolve_backend(const std::string& spec, Precision precision);
-  // Trajectory fan-out (DESIGN.md §14). launch_trajectory_batch prepares the
-  // circuit (normalized, cached), prices the batch as N x the per-trajectory
-  // roofline prediction, and enqueues min(N, num_workers) sub-jobs at the
-  // FRONT of the worker queue — the launching worker never blocks on them,
-  // so the fan-out cannot deadlock even with one worker. Each sub-job claims
-  // trajectory indices from the shared cursor and streams contributions into
-  // the ordered accumulator; the last sub-run to exit finalizes the batch
-  // (aggregation, metrics, result cache, flight publication, promise).
-  void launch_trajectory_batch(Job& job, std::uint64_t key,
-                               std::string summary,
-                               std::shared_ptr<Flight> flight,
-                               const std::string& spec, const Deadline& deadline,
-                               double queue_seconds);
+  // book() puts `runs` executions of `circuit` on the load map; settle()
+  // takes them off and feeds a success's observed seconds to calibration.
+  Booking book(const std::string& spec, const Circuit& circuit,
+               Precision precision, std::size_t runs);
+  void settle(const Booking& booking, unsigned num_qubits, unsigned max_fused,
+              double observed_seconds);
+  // Trajectory fan-out (DESIGN.md §14). launch_trajectory_batch moves the
+  // job into a new batch, prepares the circuit (normalized, cached), books
+  // the batch as N x the per-trajectory roofline prediction, and enqueues
+  // min(N, num_workers) sub-jobs at the FRONT of the worker queue — the
+  // launching worker never blocks on them, so the fan-out cannot deadlock
+  // even with one worker. Each sub-job claims trajectory indices from the
+  // shared cursor and streams contributions into the ordered accumulator;
+  // the last sub-run to exit aggregates the batch and finishes its job.
+  void launch_trajectory_batch(Job& job, const std::string& spec,
+                               const Deadline& deadline, double queue_seconds);
   void trajectory_sub_loop(const std::shared_ptr<TrajectoryBatch>& batch);
   template <typename FP>
   void run_trajectory_subs(TrajectoryBatch& batch);
@@ -472,7 +476,7 @@ class SimulationEngine {
 
   EngineOptions opt_;
   FusedCircuitCache fused_cache_;
-  std::unique_ptr<Planner> planner_;  // non-null iff opt_.enable_planner
+  Planner planner_;
   std::atomic<std::uint64_t> next_request_id_{1};
 
   // Trace plumbing (DESIGN.md §16): recorder_ is non-null iff

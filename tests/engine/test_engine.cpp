@@ -1,15 +1,19 @@
 // SimulationEngine: result-cache bit-identity, buffer-pool reuse across
 // requests, concurrent==serial on two backends, graceful rejection
-// (engine cap, device memory, deadlines, queue bound), metrics export, and
-// the one request identity behind the result-cache key.
+// (engine cap, device memory, deadlines, queue bound), metrics export, one
+// `request` span per completion, and the one request identity behind the
+// result-cache key.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cmath>
 #include <functional>
 #include <future>
 #include <limits>
+#include <map>
 #include <set>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -314,6 +318,158 @@ TEST(SimulationEngine, EmitsFlowLinkedRequestSpans) {
             std::string::npos);
   EXPECT_NE(prom.find("stage=\"execute\""), std::string::npos);
   EXPECT_NE(prom.find("qhip_engine_fused_gates_count 3"), std::string::npos);
+}
+
+// A request submitted with a completion callback that parks the worker
+// thread inside the callback until release() — so the test, not the
+// scheduler, decides what is queued when.
+class ParkedWorker {
+ public:
+  ParkedWorker(SimulationEngine& eng, const SimRequest& req) {
+    id_ = eng.submit(req, [this](SimResult r) {
+      result_.set_value(std::move(r));
+      release_.get_future().wait();
+    });
+    done_ = result_.get_future();
+    done_.wait();  // the worker is now parked in the callback
+  }
+  ParkedWorker(const ParkedWorker&) = delete;  // the callback holds `this`
+  ParkedWorker& operator=(const ParkedWorker&) = delete;
+  void release() { release_.set_value(); }
+  std::uint64_t id() const { return id_; }
+  SimResult get() { return done_.get(); }
+
+ private:
+  std::uint64_t id_ = 0;
+  std::promise<SimResult> result_;
+  std::future<SimResult> done_;
+  std::promise<void> release_;
+};
+
+// Exactly one enclosing `request` span on the trace and one flight-recorder
+// record per request id — and nothing for any other id.
+void expect_one_request_span_each(const Tracer& tracer,
+                                  const SimulationEngine& eng,
+                                  const std::vector<std::uint64_t>& ids) {
+  std::map<std::uint64_t, int> spans, records;
+  for (const auto& e :
+       prof::parse_trace_json(tracer.to_perfetto_json()).events) {
+    if (e.cat == "request" && e.name == "request") ++spans[e.corr];
+  }
+  for (const auto& r : eng.flight_recorder()->recent()) ++records[r.corr];
+  for (const std::uint64_t id : ids) {
+    EXPECT_EQ(spans[id], 1) << "request spans of request " << id;
+    EXPECT_EQ(records[id], 1) << "flight records of request " << id;
+  }
+  EXPECT_EQ(spans.size(), ids.size());
+  EXPECT_EQ(records.size(), ids.size());
+}
+
+SimRequest trajectory(const Circuit& c, std::size_t n) {
+  SimRequest req;
+  req.kind = RequestKind::kTrajectory;
+  req.circuit = c;
+  req.backend = "cpu";
+  req.noise.channel = noise::depolarizing(0.01);
+  req.num_trajectories = n;
+  return req;
+}
+
+// Every way a request can complete goes through one finish path, so each
+// one records exactly one `request` span and one flight-recorder entry —
+// admission rejections (queue full, engine stopped) included, which
+// complete inline in submit() on the caller's thread.
+TEST(SimulationEngine, EveryCompletionPathRecordsOneRequestSpan) {
+  const Circuit small = make_rqc(2, 2, 4, 1);
+  std::vector<std::uint64_t> ids;
+  {
+    Tracer tracer;
+    EngineOptions opt;
+    opt.tracer = &tracer;
+    opt.num_workers = 2;
+    // The first stream op of each virtual GPU stalls 300 ms, so the owner of
+    // the hip run below holds its flight open while the duplicate, taken by
+    // the other worker, coalesces onto it.
+    opt.fault_spec = "latency:ms=300,nth=1";
+    SimulationEngine eng(opt);
+
+    const SimResult ok = eng.run(request(small, "cpu"));
+    ASSERT_TRUE(ok.ok && !ok.result_cache_hit) << ok.error;
+    const SimResult hit = eng.run(request(small, "cpu"));
+    ASSERT_TRUE(hit.ok && hit.result_cache_hit) << hit.error;
+    const SimResult invalid = eng.run(request(small, "cuda"));
+    ASSERT_FALSE(invalid.ok);
+
+    auto owner = eng.submit(request(small, "hip"));
+    auto waiter = eng.submit(request(small, "hip"));
+    const SimResult o = owner.get(), w = waiter.get();
+    ASSERT_TRUE(o.ok && w.ok) << o.error << w.error;
+    EXPECT_EQ(o.result_cache_hit + w.result_cache_hit, 1);  // one ran
+
+    const SimResult traj = eng.run(trajectory(small, 8));
+    ASSERT_TRUE(traj.ok) << traj.error;
+    // A batch far longer than its deadline fails mid-run in the sub-runs.
+    SimRequest doomed = trajectory(make_rqc(3, 4, 12, 2), 50000);
+    doomed.timeout_seconds = 0.5;
+    const SimResult traj_fail = eng.run(doomed);
+    ASSERT_EQ(traj_fail.code, SimErrorCode::kDeadlineExceeded)
+        << traj_fail.error;
+    EXPECT_EQ(traj_fail.backend_used, "cpu");  // failed running, not queued
+
+    ids = {ok.request_id,  hit.request_id,  invalid.request_id,
+           o.request_id,   w.request_id,    traj.request_id,
+           traj_fail.request_id};
+    expect_one_request_span_each(tracer, eng, ids);
+  }
+  {
+    Tracer tracer;
+    EngineOptions opt;
+    opt.tracer = &tracer;
+    opt.num_workers = 1;
+    opt.max_pending = 2;
+    SimulationEngine eng(opt);
+
+    // Admission rejections complete inline in submit(), so their futures
+    // are ready while the worker is still parked; no wait here can hang.
+    const auto now = std::chrono::seconds(0);
+    ParkedWorker first(eng, request(small, "cpu", 1));
+    SimRequest hurried = request(small, "cpu", 2);
+    hurried.timeout_seconds = 1e-9;  // lapses while the worker is parked
+    auto late = eng.submit(hurried);
+    auto queued = eng.submit(request(small, "cpu", 3));
+    auto full = eng.submit(request(small, "cpu", 4));
+    EXPECT_EQ(full.wait_for(now), std::future_status::ready);
+    first.release();
+    const SimResult late_r = late.get(), queued_r = queued.get();
+    const SimResult full_r = full.get();
+    EXPECT_EQ(late_r.code, SimErrorCode::kDeadlineExceeded) << late_r.error;
+    EXPECT_TRUE(queued_r.ok) << queued_r.error;
+    EXPECT_NE(full_r.error.find("queue full"), std::string::npos)
+        << full_r.error;
+
+    ParkedWorker second(eng, request(small, "cpu", 5));
+    auto drained = eng.submit(request(small, "cpu", 6));
+    std::thread stopper([&] { eng.stop(); });
+    // Drained by the stopping thread; once it is, stop() has begun.
+    EXPECT_EQ(drained.wait_for(std::chrono::seconds(30)),
+              std::future_status::ready);
+    auto after = eng.submit(request(small, "cpu", 7));
+    EXPECT_EQ(after.wait_for(now), std::future_status::ready);
+    second.release();
+    stopper.join();
+    const SimResult drained_r = drained.get(), after_r = after.get();
+    EXPECT_NE(drained_r.error.find("drained"), std::string::npos)
+        << drained_r.error;
+    EXPECT_NE(after_r.error.find("engine stopped"), std::string::npos)
+        << after_r.error;
+
+    ids = {first.id(),         late_r.request_id,    queued_r.request_id,
+           full_r.request_id,  second.id(),          drained_r.request_id,
+           after_r.request_id};
+    EXPECT_TRUE(first.get().ok);
+    EXPECT_TRUE(second.get().ok);
+    expect_one_request_span_each(tracer, eng, ids);
+  }
 }
 
 // The result-cache key is the hash of canonical_request_summary, so there is

@@ -229,18 +229,6 @@ TEST(SimulationEngine, AutoDecisionsCountedInMetricsAndProm) {
             std::string::npos);
 }
 
-TEST(SimulationEngine, AutoRequiresThePlanner) {
-  const Circuit c = make_rqc(2, 2, 4, 1);
-  EngineOptions opt;
-  opt.enable_planner = false;
-  SimulationEngine eng(opt);
-  const SimResult res = eng.run(auto_request(c));
-  EXPECT_FALSE(res.ok);
-  EXPECT_NE(res.error.find("requires the placement planner"),
-            std::string::npos)
-      << res.error;
-}
-
 TEST(SimulationEngine, BadPlannerCandidateListThrows) {
   EngineOptions opt;
   opt.planner_candidates = {"cpu", "bogus"};

@@ -58,7 +58,7 @@ TEST(EngineWorkloads, TrajectoryBatchBitIdenticalToSerialReference) {
   const std::size_t n_traj = 12;
 
   // Serial reference: one trajectory at a time on a single thread — the
-  // same pool width the engine's sub-runs use (trajectory_threads = 1), so
+  // same pool width the engine's sub-runs always use (one thread each), so
   // the fp reduction order inside apply_channel matches exactly.
   ThreadPool pool1(1);
   const std::vector<double> ref = noise::trajectory_distribution<double>(
