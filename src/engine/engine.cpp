@@ -650,7 +650,15 @@ void SimulationEngine::process(Job& job) {
       if (q.kind != RequestKind::kCircuit && !q.observable.strings.empty()) {
         q.observable.validate(q.circuit.num_qubits);
       }
-      if (q.kind == RequestKind::kTrajectory) q.noise.channel.validate();
+      if (q.kind == RequestKind::kTrajectory) {
+        q.noise.channel.validate();
+        // The trajectory sampler applies the channel qubit by qubit.
+        check(q.noise.channel.num_qubits() == 1,
+              strfmt("noise channel '%s' acts on %u qubits; trajectory "
+                     "requests take 1-qubit channels",
+                     q.noise.channel.name.c_str(),
+                     q.noise.channel.num_qubits()));
+      }
       if (q.kind == RequestKind::kExpectation) {
         std::lock_guard lk(metrics_mu_);
         ++metrics_.expectation_requests;
@@ -880,9 +888,10 @@ void SimulationEngine::finish(Job& job, SimResult res) {
   res.total_seconds = job.queued.seconds();
   // Enclosing span: the flow-event anchor linking this request's trace row
   // to the kernels and memcpys its backend run produced.
+  const std::string outcome = outcome_text(res);
   span("request", job.corr, job.submit_us,
-       static_cast<std::uint64_t>(res.total_seconds * 1e6), outcome_text(res));
-  record_done(res);
+       static_cast<std::uint64_t>(res.total_seconds * 1e6), outcome);
+  record_done(res, outcome);
   if (job.on_done) {
     job.on_done(std::move(res));
   } else {
@@ -1102,7 +1111,8 @@ void SimulationEngine::finalize_trajectory_batch(TrajectoryBatch& b) {
   finish(b.job, std::move(res));
 }
 
-void SimulationEngine::record_done(const SimResult& res) {
+void SimulationEngine::record_done(const SimResult& res,
+                                   const std::string& outcome) {
   const std::uint64_t now_us = Timer::now_micros();
   const std::size_t result_bytes = approx_result_bytes(res);
   {
@@ -1156,8 +1166,7 @@ void SimulationEngine::record_done(const SimResult& res) {
       }
       rec.planner = strfmt("predicted=%.3gs calibration=%.3g", it->second, cal);
     }
-    rec.outcome = !res.ok ? to_string(res.code)
-                          : (res.result_cache_hit ? "ok: cache-hit" : "ok");
+    rec.outcome = outcome;
     rec.ok = res.ok;
     rec.cache_hit = res.result_cache_hit;
     rec.attempts = res.attempts;

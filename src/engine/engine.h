@@ -469,7 +469,9 @@ class SimulationEngine {
   // what the planner's queued_seconds hook reads for load-aware placement.
   double queued_load(const std::string& spec) const;
   void adjust_load(const std::string& spec, double delta);
-  void record_done(const SimResult& res);
+  // `outcome` is the request span's detail; the flight-recorder record
+  // carries the same text.
+  void record_done(const SimResult& res, const std::string& outcome);
   void count_fault(SimErrorCode code);
   static SimResult rejected(std::string why,
                             SimErrorCode code = SimErrorCode::kRejected);

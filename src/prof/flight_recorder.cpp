@@ -5,30 +5,10 @@
 #include <fstream>
 
 #include "src/base/error.h"
+#include "src/base/json.h"
 #include "src/base/timer.h"
 
 namespace qhip::prof {
-
-namespace {
-
-void append_json_escaped(std::string& out, const std::string& s) {
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      default: out += c;
-    }
-  }
-}
-
-void append_double(std::string& out, double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  out += buf;
-}
-
-}  // namespace
 
 // The Tracer-compatible front door: retains corr-tagged events in the
 // recorder's bounded buffers and forwards everything to the optional
@@ -222,7 +202,7 @@ std::string FlightRecorder::snapshot_json(const std::string& reason) const {
   }
 
   std::string extra = ",\"flightRecorder\":{\"reason\":\"";
-  append_json_escaped(extra, reason);
+  json_escape(reason, &extra);
   extra += "\",\"dropped_events\":";
   extra += std::to_string(dropped);
   extra += ",\"records\":[";
@@ -233,13 +213,13 @@ std::string FlightRecorder::snapshot_json(const std::string& reason) const {
     extra += "{\"corr\":";
     extra += std::to_string(r.corr);
     extra += ",\"kind\":\"";
-    append_json_escaped(extra, r.kind);
+    json_escape(r.kind, &extra);
     extra += "\",\"backend\":\"";
-    append_json_escaped(extra, r.backend);
+    json_escape(r.backend, &extra);
     extra += "\",\"planner\":\"";
-    append_json_escaped(extra, r.planner);
+    json_escape(r.planner, &extra);
     extra += "\",\"outcome\":\"";
-    append_json_escaped(extra, r.outcome);
+    json_escape(r.outcome, &extra);
     extra += "\",\"ok\":";
     extra += r.ok ? "true" : "false";
     extra += ",\"cache_hit\":";
@@ -251,15 +231,15 @@ std::string FlightRecorder::snapshot_json(const std::string& reason) const {
     extra += ",\"submit_us\":";
     extra += std::to_string(r.submit_us);
     extra += ",\"queue_ms\":";
-    append_double(extra, r.queue_ms);
+    extra += json_double(r.queue_ms);
     extra += ",\"fuse_ms\":";
-    append_double(extra, r.fuse_ms);
+    extra += json_double(r.fuse_ms);
     extra += ",\"execute_ms\":";
-    append_double(extra, r.execute_ms);
+    extra += json_double(r.execute_ms);
     extra += ",\"sample_ms\":";
-    append_double(extra, r.sample_ms);
+    extra += json_double(r.sample_ms);
     extra += ",\"total_ms\":";
-    append_double(extra, r.total_ms);
+    extra += json_double(r.total_ms);
     extra += "}";
   }
   extra += "]}";
@@ -280,13 +260,13 @@ std::string FlightRecorder::text_dump() const {
   out += "\n";
   char line[256];
   std::snprintf(line, sizeof(line),
-                "%8s %-11s %-10s %-16s %3s %10s %9s %9s %9s %9s %10s\n",
+                "%8s %-11s %-10s %-26s %3s %10s %9s %9s %9s %9s %10s\n",
                 "corr", "kind", "backend", "outcome", "att", "total_ms",
                 "queue_ms", "fuse_ms", "exec_ms", "sample_ms", "bytes");
   out += line;
   for (const auto& r : recs) {
     std::snprintf(line, sizeof(line),
-                  "%8llu %-11s %-10s %-16s %3u %10.3f %9.3f %9.3f %9.3f %9.3f "
+                  "%8llu %-11s %-10s %-26s %3u %10.3f %9.3f %9.3f %9.3f %9.3f "
                   "%10llu",
                   static_cast<unsigned long long>(r.corr), r.kind.c_str(),
                   r.backend.c_str(), r.outcome.c_str(), r.attempts, r.total_ms,

@@ -1,11 +1,10 @@
 #include "src/prof/trace.h"
 
 #include <algorithm>
-#include <cstdio>
 #include <fstream>
-#include <sstream>
 
 #include "src/base/error.h"
+#include "src/base/json.h"
 #include "src/base/timer.h"
 
 namespace qhip {
@@ -20,17 +19,6 @@ const char* kind_category(TraceKind k) {
     case TraceKind::kSpan: return "request";
   }
   return "unknown";
-}
-
-void append_escaped(std::string& out, const std::string& s) {
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      default: out += c;
-    }
-  }
 }
 
 // One flow-chain vertex: "ph":"s"/"t"/"f" stamped inside the slice it binds
@@ -115,7 +103,7 @@ std::string perfetto_trace_json(const std::vector<TraceEvent>& evs,
     if (!first) out += ",\n";
     first = false;
     out += "{\"name\":\"";
-    append_escaped(out, e.name);
+    json_escape(e.name, &out);
     out += "\",\"cat\":\"";
     out += kind_category(e.kind);
     out += "\",\"ph\":\"X\",\"pid\":1,\"tid\":";
@@ -132,7 +120,7 @@ std::string perfetto_trace_json(const std::vector<TraceEvent>& evs,
     }
     if (!e.detail.empty()) {
       out += ",\"detail\":\"";
-      append_escaped(out, e.detail);
+      json_escape(e.detail, &out);
       out += "\"";
     }
     out += "}}";
@@ -184,13 +172,11 @@ std::string perfetto_trace_json(const std::vector<TraceEvent>& evs,
     if (!first) out += ",\n";
     first = false;
     out += "{\"name\":\"";
-    append_escaped(out, name);
+    json_escape(name, &out);
     out += "\",\"cat\":\"metric\",\"ph\":\"C\",\"pid\":1,\"ts\":";
     out += std::to_string(counter_ts_us);
     out += ",\"args\":{\"value\":";
-    char buf[64];
-    std::snprintf(buf, sizeof(buf), "%.17g", value);
-    out += buf;
+    out += json_double(value);
     out += "}}";
   }
   out += "\n]";

@@ -1,56 +1,33 @@
 #include "src/prof/trace_reader.h"
 
-#include <cctype>
 #include <climits>
 #include <cmath>
-#include <cstdlib>
 #include <fstream>
-#include <memory>
-#include <variant>
 
 #include "src/base/error.h"
+#include "src/base/json.h"
 
 namespace qhip::prof {
 
 namespace {
 
-// Minimal recursive-descent JSON parser: just enough of RFC 8259 for trace
-// files (objects, arrays, strings with escapes, numbers, literals).
-struct JsonValue;
-using JsonObject = std::map<std::string, JsonValue>;
-using JsonArray = std::vector<JsonValue>;
+// Typed field reads off the shared JSON DOM: a missing or mistyped field
+// yields `dflt`, so a hostile trace degrades field by field instead of
+// failing the whole parse.
+std::string str_or(const JsonValue& obj, const std::string& key, std::string dflt) {
+  const JsonValue* f = obj.find(key);
+  return f != nullptr && f->type == JsonType::kString ? f->str : dflt;
+}
 
-struct JsonValue {
-  std::variant<std::nullptr_t, bool, double, std::string,
-               std::shared_ptr<JsonArray>, std::shared_ptr<JsonObject>>
-      v = nullptr;
+double num_or(const JsonValue& obj, const std::string& key, double dflt) {
+  const JsonValue* f = obj.find(key);
+  return f != nullptr && f->type == JsonType::kNumber ? f->number : dflt;
+}
 
-  bool is_object() const { return std::holds_alternative<std::shared_ptr<JsonObject>>(v); }
-  bool is_array() const { return std::holds_alternative<std::shared_ptr<JsonArray>>(v); }
-  const JsonObject& object() const { return *std::get<std::shared_ptr<JsonObject>>(v); }
-  const JsonArray& array() const { return *std::get<std::shared_ptr<JsonArray>>(v); }
-
-  const JsonValue* find(const std::string& key) const {
-    if (!is_object()) return nullptr;
-    const auto it = object().find(key);
-    return it == object().end() ? nullptr : &it->second;
-  }
-  std::string str_or(const std::string& key, std::string dflt) const {
-    const JsonValue* f = find(key);
-    if (f == nullptr || !std::holds_alternative<std::string>(f->v)) return dflt;
-    return std::get<std::string>(f->v);
-  }
-  double num_or(const std::string& key, double dflt) const {
-    const JsonValue* f = find(key);
-    if (f == nullptr || !std::holds_alternative<double>(f->v)) return dflt;
-    return std::get<double>(f->v);
-  }
-  bool bool_or(const std::string& key, bool dflt) const {
-    const JsonValue* f = find(key);
-    if (f == nullptr || !std::holds_alternative<bool>(f->v)) return dflt;
-    return std::get<bool>(f->v);
-  }
-};
+bool bool_or(const JsonValue& obj, const std::string& key, bool dflt) {
+  const JsonValue* f = obj.find(key);
+  return f != nullptr && f->type == JsonType::kBool ? f->boolean : dflt;
+}
 
 // Hostile-input clamps: a double->integer cast is UB when the value is NaN
 // or outside the target range, and nothing stops a hand-edited (or
@@ -71,184 +48,35 @@ int clamp_int(double v) {
   return static_cast<int>(v);
 }
 
-class JsonParser {
- public:
-  explicit JsonParser(const std::string& text) : s_(text) {}
-
-  JsonValue parse() {
-    JsonValue v = value();
-    skip_ws();
-    check(pos_ == s_.size(), "trace JSON: trailing garbage after document");
-    return v;
-  }
-
- private:
-  void skip_ws() {
-    while (pos_ < s_.size() && std::isspace(static_cast<unsigned char>(s_[pos_]))) ++pos_;
-  }
-
-  char peek() {
-    skip_ws();
-    check(pos_ < s_.size(), "trace JSON: unexpected end of input");
-    return s_[pos_];
-  }
-
-  void expect(char c) {
-    check(peek() == c, std::string("trace JSON: expected '") + c + "'");
-    ++pos_;
-  }
-
-  JsonValue value() {
-    switch (peek()) {
-      case '{': return object();
-      case '[': return array();
-      case '"': return JsonValue{string()};
-      case 't': literal("true"); return JsonValue{true};
-      case 'f': literal("false"); return JsonValue{false};
-      case 'n': literal("null"); return JsonValue{nullptr};
-      default: return JsonValue{number()};
-    }
-  }
-
-  void literal(const char* lit) {
-    skip_ws();
-    for (const char* p = lit; *p != '\0'; ++p, ++pos_) {
-      check(pos_ < s_.size() && s_[pos_] == *p,
-            std::string("trace JSON: bad literal (expected ") + lit + ")");
-    }
-  }
-
-  double number() {
-    skip_ws();
-    const char* begin = s_.data() + pos_;
-    char* end = nullptr;
-    const double v = std::strtod(begin, &end);
-    check(end != begin, "trace JSON: malformed number");
-    pos_ += static_cast<std::size_t>(end - begin);
-    return v;
-  }
-
-  std::string string() {
-    expect('"');
-    std::string out;
-    while (true) {
-      check(pos_ < s_.size(), "trace JSON: unterminated string");
-      const char c = s_[pos_++];
-      if (c == '"') return out;
-      if (c != '\\') {
-        out += c;
-        continue;
-      }
-      check(pos_ < s_.size(), "trace JSON: unterminated escape");
-      const char e = s_[pos_++];
-      switch (e) {
-        case '"': out += '"'; break;
-        case '\\': out += '\\'; break;
-        case '/': out += '/'; break;
-        case 'b': out += '\b'; break;
-        case 'f': out += '\f'; break;
-        case 'n': out += '\n'; break;
-        case 'r': out += '\r'; break;
-        case 't': out += '\t'; break;
-        case 'u': {
-          check(pos_ + 4 <= s_.size(), "trace JSON: truncated \\u escape");
-          unsigned code = 0;
-          for (int i = 0; i < 4; ++i) {
-            const char h = s_[pos_++];
-            code <<= 4;
-            if (h >= '0' && h <= '9') code |= static_cast<unsigned>(h - '0');
-            else if (h >= 'a' && h <= 'f') code |= static_cast<unsigned>(h - 'a' + 10);
-            else if (h >= 'A' && h <= 'F') code |= static_cast<unsigned>(h - 'A' + 10);
-            else throw Error("trace JSON: bad \\u escape");
-          }
-          // Trace names are ASCII in practice; encode BMP code points UTF-8.
-          if (code < 0x80) {
-            out += static_cast<char>(code);
-          } else if (code < 0x800) {
-            out += static_cast<char>(0xC0 | (code >> 6));
-            out += static_cast<char>(0x80 | (code & 0x3F));
-          } else {
-            out += static_cast<char>(0xE0 | (code >> 12));
-            out += static_cast<char>(0x80 | ((code >> 6) & 0x3F));
-            out += static_cast<char>(0x80 | (code & 0x3F));
-          }
-        } break;
-        default: throw Error("trace JSON: unknown escape");
-      }
-    }
-  }
-
-  JsonValue array() {
-    expect('[');
-    auto arr = std::make_shared<JsonArray>();
-    if (peek() == ']') {
-      ++pos_;
-      return JsonValue{std::move(arr)};
-    }
-    while (true) {
-      arr->push_back(value());
-      const char c = peek();
-      ++pos_;
-      if (c == ']') return JsonValue{std::move(arr)};
-      check(c == ',', "trace JSON: expected ',' or ']' in array");
-    }
-  }
-
-  JsonValue object() {
-    expect('{');
-    auto obj = std::make_shared<JsonObject>();
-    if (peek() == '}') {
-      ++pos_;
-      return JsonValue{std::move(obj)};
-    }
-    while (true) {
-      skip_ws();
-      std::string key = string();
-      expect(':');
-      (*obj)[std::move(key)] = value();
-      const char c = peek();
-      ++pos_;
-      if (c == '}') return JsonValue{std::move(obj)};
-      check(c == ',', "trace JSON: expected ',' or '}' in object");
-    }
-  }
-
-  const std::string& s_;
-  std::size_t pos_ = 0;
-};
-
-std::uint64_t u64_arg(const JsonValue& args, const std::string& key) {
-  return clamp_u64(args.num_or(key, 0));
-}
-
 // Parses the "flightRecorder" member a snapshot carries next to its
 // traceEvents (FlightRecorder::snapshot_json). Missing or mistyped fields
 // fall back to zero values — the record table degrades, the parse survives.
 void parse_flight_recorder(const JsonValue& fr, ParsedTrace* out) {
-  if (!fr.is_object()) return;
-  out->snapshot_reason = fr.str_or("reason", "");
+  if (fr.type != JsonType::kObject) return;
+  out->snapshot_reason = str_or(fr, "reason", "");
   if (out->snapshot_reason.empty()) out->snapshot_reason = "unknown";
-  out->snapshot_dropped_events = clamp_u64(fr.num_or("dropped_events", 0));
+  out->snapshot_dropped_events = clamp_u64(num_or(fr, "dropped_events", 0));
   const JsonValue* recs = fr.find("records");
-  if (recs == nullptr || !recs->is_array()) return;
-  for (const JsonValue& r : recs->array()) {
-    if (!r.is_object()) continue;
+  if (recs == nullptr || recs->type != JsonType::kArray) return;
+  for (const JsonPtr& item : recs->items) {
+    const JsonValue& r = *item;
+    if (r.type != JsonType::kObject) continue;
     FlightRecord rec;
-    rec.corr = clamp_u64(r.num_or("corr", 0));
-    rec.kind = r.str_or("kind", "");
-    rec.backend = r.str_or("backend", "");
-    rec.planner = r.str_or("planner", "");
-    rec.outcome = r.str_or("outcome", "");
-    rec.ok = r.bool_or("ok", false);
-    rec.cache_hit = r.bool_or("cache_hit", false);
-    rec.attempts = clamp_u64(r.num_or("attempts", 0));
-    rec.bytes = clamp_u64(r.num_or("bytes", 0));
-    rec.submit_us = clamp_u64(r.num_or("submit_us", 0));
-    rec.queue_ms = r.num_or("queue_ms", 0);
-    rec.fuse_ms = r.num_or("fuse_ms", 0);
-    rec.execute_ms = r.num_or("execute_ms", 0);
-    rec.sample_ms = r.num_or("sample_ms", 0);
-    rec.total_ms = r.num_or("total_ms", 0);
+    rec.corr = clamp_u64(num_or(r, "corr", 0));
+    rec.kind = str_or(r, "kind", "");
+    rec.backend = str_or(r, "backend", "");
+    rec.planner = str_or(r, "planner", "");
+    rec.outcome = str_or(r, "outcome", "");
+    rec.ok = bool_or(r, "ok", false);
+    rec.cache_hit = bool_or(r, "cache_hit", false);
+    rec.attempts = clamp_u64(num_or(r, "attempts", 0));
+    rec.bytes = clamp_u64(num_or(r, "bytes", 0));
+    rec.submit_us = clamp_u64(num_or(r, "submit_us", 0));
+    rec.queue_ms = num_or(r, "queue_ms", 0);
+    rec.fuse_ms = num_or(r, "fuse_ms", 0);
+    rec.execute_ms = num_or(r, "execute_ms", 0);
+    rec.sample_ms = num_or(r, "sample_ms", 0);
+    rec.total_ms = num_or(r, "total_ms", 0);
     out->flight_records.push_back(std::move(rec));
   }
 }
@@ -256,47 +84,43 @@ void parse_flight_recorder(const JsonValue& fr, ParsedTrace* out) {
 }  // namespace
 
 ParsedTrace parse_trace_json(const std::string& json) {
-  const JsonValue root = JsonParser(json).parse();
-  const JsonValue* events = nullptr;
-  if (root.is_array()) {
-    events = &root;
-  } else if (root.is_object()) {
-    events = root.find("traceEvents");
+  const JsonPtr root = json_parse(json);
+  const JsonValue* events =
+      root->type == JsonType::kArray ? root.get() : root->find("traceEvents");
+  if (events == nullptr || events->type != JsonType::kArray) {
+    throw CodedError(ErrorCode::kMalformedInput, "trace JSON: no traceEvents array");
   }
-  check(events != nullptr && events->is_array(),
-        "trace JSON: no traceEvents array");
 
   ParsedTrace out;
-  for (const JsonValue& ev : events->array()) {
-    if (!ev.is_object()) continue;
-    const std::string ph = ev.str_or("ph", "");
+  for (const JsonPtr& item : events->items) {
+    const JsonValue& ev = *item;
+    if (ev.type != JsonType::kObject) continue;
+    const std::string ph = str_or(ev, "ph", "");
     ParsedEvent pe;
-    pe.name = ev.str_or("name", "");
-    pe.cat = ev.str_or("cat", "");
+    pe.name = str_or(ev, "name", "");
+    pe.cat = str_or(ev, "cat", "");
     pe.ph = ph;
-    pe.tid = clamp_int(ev.num_or("tid", 0));
-    pe.ts_us = clamp_u64(ev.num_or("ts", 0));
+    pe.tid = clamp_int(num_or(ev, "tid", 0));
+    pe.ts_us = clamp_u64(num_or(ev, "ts", 0));
     if (ph == "X") {
-      pe.dur_us = clamp_u64(ev.num_or("dur", 0));
+      pe.dur_us = clamp_u64(num_or(ev, "dur", 0));
       if (const JsonValue* args = ev.find("args"); args != nullptr) {
-        pe.bytes = u64_arg(*args, "bytes");
-        pe.corr = u64_arg(*args, "corr");
-        pe.detail = args->str_or("detail", "");
+        pe.bytes = clamp_u64(num_or(*args, "bytes", 0));
+        pe.corr = clamp_u64(num_or(*args, "corr", 0));
+        pe.detail = str_or(*args, "detail", "");
       }
       out.events.push_back(std::move(pe));
     } else if (ph == "s" || ph == "t" || ph == "f") {
-      pe.corr = clamp_u64(ev.num_or("id", 0));
+      pe.corr = clamp_u64(num_or(ev, "id", 0));
       out.flows.push_back(std::move(pe));
     } else if (ph == "C") {
       if (const JsonValue* args = ev.find("args"); args != nullptr) {
-        out.counters[pe.name] = args->num_or("value", 0);
+        out.counters[pe.name] = num_or(*args, "value", 0);
       }
     }
   }
-  if (root.is_object()) {
-    if (const JsonValue* fr = root.find("flightRecorder"); fr != nullptr) {
-      parse_flight_recorder(*fr, &out);
-    }
+  if (const JsonValue* fr = root->find("flightRecorder"); fr != nullptr) {
+    parse_flight_recorder(*fr, &out);
   }
   return out;
 }

@@ -4,9 +4,9 @@
 // the event list, counters, and request flow links, and aggregate them into
 // the rocprof-style tables of Figure 6.
 //
-// The parser accepts the general trace-event format — an object with a
-// "traceEvents" array or a bare array — and ignores fields and phases it
-// does not model.
+// The reader walks the shared JSON DOM (src/base/json.h) and accepts the
+// general trace-event format — an object with a "traceEvents" array or a
+// bare array — ignoring fields and phases it does not model.
 #pragma once
 
 #include <cstdint>
@@ -60,8 +60,8 @@ struct ParsedTrace {
   std::vector<FlightRecord> flight_records;
 };
 
-// Parses trace JSON text. Throws qhip::Error on malformed JSON or a missing
-// traceEvents array.
+// Parses trace JSON text. Throws CodedError(kMalformedInput) on malformed
+// JSON or a missing traceEvents array.
 ParsedTrace parse_trace_json(const std::string& json);
 
 // Reads and parses `path`. Throws qhip::Error on I/O or parse failure.

@@ -25,7 +25,7 @@
 #include <string>
 
 #include "src/engine/engine.h"
-#include "src/serve/json.h"
+#include "src/base/json.h"
 
 namespace qhip::serve {
 

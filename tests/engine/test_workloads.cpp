@@ -211,6 +211,20 @@ TEST(EngineWorkloads, RejectsMalformedWorkloads) {
   EXPECT_FALSE(on_hip.ok);
 }
 
+TEST(EngineWorkloads, RejectsMultiQubitNoiseChannelAtAdmission) {
+  // A complete 2-qubit channel passes KrausChannel::validate, but the
+  // trajectory sampler applies channels qubit by qubit: admission must
+  // reject it instead of failing every sub-run after the fan-out.
+  SimRequest req = trajectory_request(make_rqc(2, 2, 6, 4), 4);
+  req.noise = noise::NoiseModel{noise::KrausChannel{"id2", {CMatrix::identity(4)}}};
+  SimulationEngine eng;
+  const SimResult r = eng.run(req);
+  EXPECT_FALSE(r.ok);
+  EXPECT_EQ(r.code, SimErrorCode::kRejected) << r.error;
+  EXPECT_NE(r.error.find("1-qubit"), std::string::npos) << r.error;
+  EXPECT_EQ(r.trajectories_run, 0u);
+}
+
 TEST(EngineWorkloads, PrometheusExportsTrajectoryFamilies) {
   const Circuit c = make_rqc(2, 2, 6, 8);
   SimulationEngine eng;

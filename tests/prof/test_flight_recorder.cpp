@@ -140,7 +140,9 @@ TEST(FlightRecorder, SnapshotJsonRoundTripsThroughTraceReader) {
   FlightRecorder rec({4, 16});
   rec.sink().record("execute", TraceKind::kSpan, 100, 40, 0, 0, 11);
   RequestRecord r = make_record(11, 12.5);
-  r.planner = "predicted=0.003s calibration=1.1";
+  // Control characters must be escaped in the JSON text and survive the
+  // round trip.
+  r.planner = "predicted=0.003s\tcalibration=1.1\x01";
   r.cache_hit = false;
   r.attempts = 2;
   r.bytes = 4096;
@@ -151,7 +153,15 @@ TEST(FlightRecorder, SnapshotJsonRoundTripsThroughTraceReader) {
   rec.record_request(r);
   rec.record_request(make_record(12, 1.0));
 
-  const ParsedTrace t = parse_trace_json(rec.snapshot_json("unit-test"));
+  const std::string json = rec.snapshot_json("unit-test");
+  // The writer's only raw control byte is the '\n' between events; the
+  // strict reader below rejects a raw '\n' inside a string.
+  for (char c : json) {
+    if (static_cast<unsigned char>(c) < 0x20) {
+      EXPECT_EQ(c, '\n');
+    }
+  }
+  const ParsedTrace t = parse_trace_json(json);
   EXPECT_EQ(t.snapshot_reason, "unit-test");
   ASSERT_EQ(t.flight_records.size(), 2u);
   // Newest first, like recent().
@@ -160,7 +170,7 @@ TEST(FlightRecorder, SnapshotJsonRoundTripsThroughTraceReader) {
   EXPECT_EQ(fr.corr, 11u);
   EXPECT_EQ(fr.kind, "circuit");
   EXPECT_EQ(fr.backend, "hip");
-  EXPECT_EQ(fr.planner, "predicted=0.003s calibration=1.1");
+  EXPECT_EQ(fr.planner, "predicted=0.003s\tcalibration=1.1\x01");
   EXPECT_EQ(fr.outcome, "ok");
   EXPECT_TRUE(fr.ok);
   EXPECT_FALSE(fr.cache_hit);
@@ -233,15 +243,20 @@ TEST(FlightRecorderEngine, RecordsCompletedRequestsWithStages) {
   EXPECT_EQ(recent[0].corr, r.request_id);
   EXPECT_EQ(recent[0].kind, "circuit");
   EXPECT_EQ(recent[0].backend, r.backend_used);
-  EXPECT_EQ(recent[0].outcome, "ok");
   EXPECT_TRUE(recent[0].ok);
   EXPECT_GT(recent[0].total_ms, 0.0);
   EXPECT_GE(recent[0].total_ms,
             recent[0].execute_ms);  // stages nest inside the total
 
-  // The retained events include the request span tree and device events.
+  // The retained events include the request span tree and device events;
+  // the record's outcome is the request span's detail.
   std::vector<std::string> names;
-  for (const TraceEvent& e : rec->events()) names.push_back(e.name);
+  for (const TraceEvent& e : rec->events()) {
+    names.push_back(e.name);
+    if (e.name == "request") {
+      EXPECT_EQ(recent[0].outcome, e.detail);
+    }
+  }
   EXPECT_NE(std::find(names.begin(), names.end(), "request"), names.end());
   EXPECT_NE(std::find(names.begin(), names.end(), "execute"), names.end());
 }

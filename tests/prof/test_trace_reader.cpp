@@ -1,7 +1,8 @@
-// trace_reader hostile-input hardening: truncated JSON, events missing
-// "ts"/"ph", duplicate correlation ids, NaN/negative/huge numeric fields,
-// and mistyped flightRecorder members must be rejected with qhip::Error or
-// skipped cleanly — never crash, never invoke UB double->int casts.
+// trace_reader hostile-input hardening: truncated or deeply nested JSON,
+// events missing "ts"/"ph", duplicate correlation ids, negative/huge numeric
+// fields, and mistyped flightRecorder members must be rejected with
+// qhip::Error or skipped cleanly — never crash, never invoke UB
+// double->int casts.
 #include "src/prof/trace_reader.h"
 
 #include <gtest/gtest.h>
@@ -39,6 +40,13 @@ TEST(TraceReaderHostile, GarbageDocumentsThrow) {
   EXPECT_THROW(parse_trace_json("{\"traceEvents\":{}}"), Error);
   EXPECT_THROW(parse_trace_json("{\"traceEvents\":[]} trailing"), Error);
   EXPECT_THROW(parse_trace_json("{\"traceEvents\":[truw]}"), Error);
+  // Nesting far past kJsonMaxDepth is rejected, not a stack overflow.
+  try {
+    parse_trace_json(std::string(200000, '['));
+    FAIL() << "expected throw for 200000 '['";
+  } catch (const CodedError& e) {
+    EXPECT_EQ(e.code(), ErrorCode::kMalformedInput);
+  }
 }
 
 TEST(TraceReaderHostile, EventsMissingPhOrTsAreSkippedOrDefaulted) {

@@ -19,6 +19,7 @@
 #include "src/noise/channels.h"
 #include "src/obs/observable.h"
 #include "src/prof/trace.h"
+#include "src/prof/trace_reader.h"
 #include "src/serve/client.h"
 #include "src/serve/wire.h"
 
@@ -286,12 +287,19 @@ TEST(ServeServer, MalformedLineGetsStructuredErrorAndConnectionSurvives) {
   EXPECT_FALSE(err.ok);
   EXPECT_EQ(line.find("malformed-input") != std::string::npos, true) << line;
 
+  // 200 KB of '[': nesting far past the parser's depth bound is one more
+  // malformed line, not a stack overflow in the server.
+  cl.send_line(std::string(200 * 1024, '['));
+  ASSERT_TRUE(cl.recv_line(&line));
+  EXPECT_FALSE(decode_result(line).ok);
+  EXPECT_NE(line.find("malformed-input"), std::string::npos) << line;
+
   // Same connection keeps serving.
   EXPECT_TRUE(cl.ping());
   SimRequest req = base_request(layered_circuit(4, 1), 3);
   req.num_samples = 4;
   EXPECT_TRUE(cl.call(req).ok);
-  EXPECT_EQ(server.stats().malformed, 1u);
+  EXPECT_EQ(server.stats().malformed, 2u);
   server.shutdown();
 }
 
@@ -334,7 +342,12 @@ TEST(ServeServer, ServerSpansJoinRequestTrace) {
 
   SimRequest req = base_request(layered_circuit(4, 1), 9);
   req.num_samples = 4;
-  ASSERT_TRUE(cl.call(req).ok);
+  // A client_corr with control characters: the trace must escape them.
+  const std::string client_corr = "cc\t7\x01";
+  cl.send_line(encode_request(req, "", client_corr));
+  std::string line;
+  ASSERT_TRUE(cl.recv_line(&line));
+  ASSERT_TRUE(decode_result(line).ok) << line;
   server.shutdown();
 
   bool serve_span = false;
@@ -344,6 +357,24 @@ TEST(ServeServer, ServerSpansJoinRequestTrace) {
     }
   }
   EXPECT_TRUE(serve_span);
+
+  // The writer's only raw control byte is the '\n' between events; the
+  // strict reader rejects a raw '\n' inside a string, so together no raw
+  // control byte sits inside any string.
+  const std::string json = tracer.to_perfetto_json();
+  for (char c : json) {
+    if (static_cast<unsigned char>(c) < 0x20) {
+      EXPECT_EQ(c, '\n');
+    }
+  }
+  bool joined = false;
+  for (const prof::ParsedEvent& ev : prof::parse_trace_json(json).events) {
+    if (ev.name == "serve") {
+      EXPECT_EQ(ev.detail, "served client_corr=" + client_corr);
+      joined = true;
+    }
+  }
+  EXPECT_TRUE(joined);
 }
 
 // --- shutdown ---------------------------------------------------------------

@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <chrono>
 #include <cmath>
 #include <limits>
 
@@ -14,7 +16,9 @@
 #include "src/io/circuit_io.h"
 #include "src/noise/channels.h"
 #include "src/obs/observable.h"
-#include "src/serve/json.h"
+#include "src/base/json.h"
+#include "src/prof/flight_recorder.h"
+#include "src/prof/trace.h"
 
 namespace qhip::serve {
 namespace {
@@ -45,6 +49,8 @@ TEST(ServeJson, ParsesAndDumpsBasics) {
   EXPECT_EQ(v->find("d")->as_array("d").size(), 3u);
   EXPECT_EQ(v->find("e")->find("k")->as_string("k"), "v");
   EXPECT_EQ(v->find("missing"), nullptr);
+  // Duplicate keys: the last one wins.
+  EXPECT_EQ(json_parse(R"({"a":1,"a":2})")->find("a")->as_uint("a"), 2u);
   // The dump re-parses to the same structure and never contains the wire's
   // message delimiter.
   const std::string dumped = v->dump();
@@ -94,8 +100,18 @@ TEST(ServeJson, DoublesAreBitExact) {
   }
 }
 
+TEST(ServeJson, NonFiniteDoublesWriteNull) {
+  // JSON has no NaN or infinity; writing "nan" would make the document
+  // unparseable for every reader, this codec included.
+  for (double d : {std::nan(""), std::numeric_limits<double>::infinity(),
+                   -std::numeric_limits<double>::infinity()}) {
+    EXPECT_EQ(json_double(d), "null");
+    EXPECT_EQ(json_parse(json_double(d))->type, JsonType::kNull);
+  }
+}
+
 TEST(ServeJson, MalformedInputThrowsCoded) {
-  const char* bad[] = {
+  const std::string bad[] = {
       "",             // empty
       "{",            // truncated object
       "[1,2",         // truncated array
@@ -107,16 +123,104 @@ TEST(ServeJson, MalformedInputThrowsCoded) {
       "01",           // leading zero
       "nul",          // truncated keyword
       "\"unterminated",
+      std::string(200000, '['),  // nesting far past kJsonMaxDepth
   };
-  for (const char* s : bad) {
+  for (const std::string& s : bad) {
     try {
       json_parse(s);
-      FAIL() << "expected throw for: " << s;
+      FAIL() << "expected throw for: " << s.substr(0, 64);
     } catch (const CodedError& e) {
-      EXPECT_EQ(e.code(), ErrorCode::kMalformedInput) << s;
+      EXPECT_EQ(e.code(), ErrorCode::kMalformedInput) << s.substr(0, 64);
     }
   }
 }
+
+// Nesting depth of a parsed document: a scalar is 0, [] and {} are 1.
+std::size_t depth_of(const JsonValue& v) {
+  std::size_t d = 0;
+  for (const JsonPtr& e : v.items) d = std::max(d, depth_of(*e));
+  for (const auto& [k, e] : v.members) d = std::max(d, depth_of(*e));
+  return v.type == JsonType::kArray || v.type == JsonType::kObject ? d + 1 : d;
+}
+
+TEST(ServeJson, DepthBoundIsFarAboveWireAndTraceNesting) {
+  // The deepest wire messages: a trajectory request carrying Kraus
+  // operators and an observable, and a result carrying every payload.
+  SimRequest traj;
+  traj.circuit = small_circuit();
+  traj.kind = RequestKind::kTrajectory;
+  traj.noise = noise::NoiseModel{noise::amplitude_damping(0.1)};
+  traj.observable.strings.push_back(obs::parse_pauli_string("Z0 X1"));
+  traj.amplitude_indices = {1, 2};
+  SimResult res;
+  res.ok = true;
+  res.samples = {1, 2};
+  res.measurements = {3};
+  res.amplitudes = {{0.5, -0.5}};
+  res.state = {{1, 0}, {0, 1}};
+  res.counters["planner/window"] = 4;
+  res.expectation = {0.25, 0};
+  std::size_t wire = 0;
+  for (const std::string& line : {encode_request(traj, "id", "corr"),
+                                  encode_result(res, "id")}) {
+    wire = std::max(wire, depth_of(*json_parse(line)));
+  }
+  EXPECT_LE(wire, 5u);
+
+  // The deepest trace: a flight-recorder snapshot (records nest inside
+  // "flightRecorder") with events and counters.
+  prof::FlightRecorder rec({4, 16});
+  rec.sink().record("execute", TraceKind::kSpan, 1, 2, 0, 0, 7, "detail");
+  prof::RequestRecord r;
+  r.corr = 7;
+  rec.record_request(r);
+  Tracer tracer;
+  tracer.record("k", TraceKind::kKernel, 1, 1, 0, 64, 7);
+  tracer.set_counter("engine/requests", 1);
+  std::size_t trace = 0;
+  for (const std::string& doc :
+       {rec.snapshot_json("depth"), tracer.to_perfetto_json()}) {
+    trace = std::max(trace, depth_of(*json_parse(doc)));
+  }
+  EXPECT_LE(trace, 4u);
+  EXPECT_GE(kJsonMaxDepth, 16 * std::max(wire, trace));
+
+  // The bound itself: kJsonMaxDepth levels parse, one more is malformed.
+  const auto nested = [](std::size_t n) {
+    return std::string(n, '[') + std::string(n, ']');
+  };
+  EXPECT_EQ(depth_of(*json_parse(nested(kJsonMaxDepth))), kJsonMaxDepth);
+  try {
+    json_parse(nested(kJsonMaxDepth + 1));
+    FAIL() << "expected throw one level past kJsonMaxDepth";
+  } catch (const CodedError& e) {
+    EXPECT_EQ(e.code(), ErrorCode::kMalformedInput);
+  }
+}
+
+TEST(ServeJson, ObjectParseIsLinearInKeyCount) {
+  // 80 000 distinct keys, 869 KB. A per-key duplicate scan made this
+  // quadratic: 7.6 s in a RelWithDebInfo build on a 4-vCPU x86-64 VM. The
+  // bound is 15x below that, yet loose for sanitizer builds under load.
+  constexpr int kKeys = 80000;
+  constexpr double kBoundSeconds = 0.5;
+  std::string text = "{";
+  for (int i = 0; i < kKeys; ++i) {
+    if (i > 0) text += ',';
+    text += "\"k" + std::to_string(i) + "\":" + std::to_string(i % 10);
+  }
+  text += '}';
+  const auto t0 = std::chrono::steady_clock::now();
+  const JsonPtr v = json_parse(text);
+  const double seconds =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
+          .count();
+  EXPECT_LT(seconds, kBoundSeconds) << text.size() << " bytes";
+  ASSERT_EQ(v->members.size(), static_cast<std::size_t>(kKeys));
+  EXPECT_EQ(v->find("k0")->as_uint("k0"), 0u);
+  EXPECT_EQ(v->find("k79999")->as_uint("k79999"), 9u);
+}
+
 
 TEST(ServeJson, TypeMismatchThrowsCoded) {
   const JsonPtr v = json_parse(R"({"s":"x","n":1})");

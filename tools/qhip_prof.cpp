@@ -221,12 +221,12 @@ void print_flight_records(const ParsedTrace& t) {
               "dropped_events=%llu\n",
               t.snapshot_reason.c_str(), t.flight_records.size(),
               static_cast<unsigned long long>(t.snapshot_dropped_events));
-  std::printf("  %-6s %-11s %-10s %-16s %3s %10s %8s %8s %8s %8s %10s\n",
+  std::printf("  %-6s %-11s %-10s %-26s %3s %10s %8s %8s %8s %8s %10s\n",
               "corr", "kind", "backend", "outcome", "att", "total_ms",
               "queue", "fuse", "exec", "sample", "bytes");
   for (const auto& r : t.flight_records) {
     std::printf(
-        "  %-6llu %-11s %-10s %-16s %3llu %10.3f %8.3f %8.3f %8.3f %8.3f "
+        "  %-6llu %-11s %-10s %-26s %3llu %10.3f %8.3f %8.3f %8.3f %8.3f "
         "%10llu\n",
         static_cast<unsigned long long>(r.corr), r.kind.c_str(),
         r.backend.c_str(), r.outcome.c_str(),
