@@ -14,6 +14,30 @@ namespace {
   throw CodedError(ErrorCode::kMalformedInput, "json: " + msg);
 }
 
+// RFC 8259's number grammar, -?(0|[1-9][0-9]*)(.[0-9]+)?([eE][+-]?[0-9]+)?
+// — stricter than strtod, which also takes "+1", ".5", "1.", "01" or "1.e5".
+bool is_json_number(const std::string& t) {
+  std::size_t i = 0;
+  const auto digits = [&] {
+    const std::size_t from = i;
+    while (i < t.size() && std::isdigit(static_cast<unsigned char>(t[i]))) ++i;
+    return i > from;
+  };
+  if (i < t.size() && t[i] == '-') ++i;
+  if (i < t.size() && t[i] == '0') {
+    ++i;
+  } else if (!digits()) {
+    return false;
+  }
+  if (i < t.size() && t[i] == '.' && (++i, !digits())) return false;
+  if (i < t.size() && (t[i] == 'e' || t[i] == 'E')) {
+    ++i;
+    if (i < t.size() && (t[i] == '+' || t[i] == '-')) ++i;
+    if (!digits()) return false;
+  }
+  return i == t.size();
+}
+
 class Parser {
  public:
   explicit Parser(const std::string& text) : s_(text) {}
@@ -200,21 +224,12 @@ class Parser {
     }
     if (pos_ == start) fail("expected a value");
     const std::string tok = s_.substr(start, pos_ - start);
-    // JSON forbids leading zeros ("01") — and strtod would accept them, so
-    // check the grammar before handing the token over.
-    const std::size_t d0 = tok[0] == '-' ? 1 : 0;
-    if (tok.size() > d0 + 1 && tok[d0] == '0' &&
-        std::isdigit(static_cast<unsigned char>(tok[d0 + 1]))) {
-      pos_ = start;
-      fail("malformed number '" + tok + "' (leading zero)");
-    }
-    char* end = nullptr;
-    const double v = std::strtod(tok.c_str(), &end);
-    if (end != tok.c_str() + tok.size()) {
+    if (!is_json_number(tok)) {
       pos_ = start;
       fail("malformed number '" + tok + "'");
     }
-    JsonPtr n = JsonValue::make_number(v);
+    // strtod reads every grammatical token whole.
+    JsonPtr n = JsonValue::make_number(std::strtod(tok.c_str(), nullptr));
     n->raw_number = tok;
     return n;
   }

@@ -10,14 +10,25 @@
 
 namespace qhip {
 
-CMatrix::CMatrix(std::size_t dim) : dim_(dim), data_(dim * dim) {
+CMatrix::CMatrix(std::size_t dim)
+    : dim_(dim), data_(std::make_shared<std::vector<cplx64>>(dim * dim)) {
   check(is_pow2(dim), "CMatrix: dimension must be a power of two");
 }
 
 CMatrix::CMatrix(std::size_t dim, std::vector<cplx64> data)
-    : dim_(dim), data_(std::move(data)) {
+    : dim_(dim), data_(std::make_shared<std::vector<cplx64>>(std::move(data))) {
   check(is_pow2(dim), "CMatrix: dimension must be a power of two");
-  check(data_.size() == dim * dim, "CMatrix: data size does not match dimension");
+  check(data_->size() == dim * dim, "CMatrix: data size does not match dimension");
+}
+
+const std::vector<cplx64>& CMatrix::data() const {
+  static const std::vector<cplx64> kEmpty;
+  return data_ ? *data_ : kEmpty;
+}
+
+void CMatrix::unshare() {
+  data_ = data_ ? std::make_shared<std::vector<cplx64>>(*data_)
+                : std::make_shared<std::vector<cplx64>>();
 }
 
 CMatrix CMatrix::identity(std::size_t dim) {
@@ -72,9 +83,9 @@ CMatrix CMatrix::kron(const CMatrix& rhs) const {
 double CMatrix::distance(const CMatrix& rhs) const {
   check(dim_ == rhs.dim_, "CMatrix::distance: dimension mismatch");
   double s = 0;
-  for (std::size_t i = 0; i < data_.size(); ++i) {
-    s += std::norm(data_[i] - rhs.data_[i]);
-  }
+  const std::vector<cplx64>& a = data();
+  const std::vector<cplx64>& b = rhs.data();
+  for (std::size_t i = 0; i < a.size(); ++i) s += std::norm(a[i] - b[i]);
   return std::sqrt(s);
 }
 
@@ -136,16 +147,17 @@ void CMatrix::compose_on_qubits(const CMatrix& gate,
   // vector over num_qubits() qubits.
   const std::size_t outer = dim_ >> positions.size();
   std::vector<cplx64> tmp(gd);
+  std::vector<cplx64>& d = data();  // unshared once, outside the loops
   for (std::size_t c = 0; c < dim_; ++c) {
     for (std::size_t o = 0; o < outer; ++o) {
       const index_t base = expand_bits(o, sorted);
-      for (std::size_t k = 0; k < gd; ++k) tmp[k] = at(base | member[k], c);
+      for (std::size_t k = 0; k < gd; ++k) tmp[k] = d[(base | member[k]) * dim_ + c];
       for (std::size_t rk = 0; rk < gd; ++rk) {
         cplx64 acc{};
         for (std::size_t ck = 0; ck < gd; ++ck) {
           acc += gate.at(rk, ck) * tmp[ck];
         }
-        at(base | member[rk], c) = acc;
+        d[(base | member[rk]) * dim_ + c] = acc;
       }
     }
   }

@@ -7,6 +7,14 @@
 // precision at apply time, so both the single- and double-precision builds
 // share one set of gate definitions.
 //
+// Copies share their entries until one of them is written (copy on write):
+// circuits are copied per request — into engine jobs, caches, client-side
+// records — while their gate matrices are almost never modified after
+// construction, so a circuit copy costs its gate headers, not its matrices.
+// A non-const accessor (at, data) first takes a private copy of shared
+// entries; a reference it returns must not be held across a copy of the
+// matrix it came from.
+//
 // Index convention: for a matrix acting on qubits (q_0, q_1, ..., q_{k-1}),
 // bit j of a row/column index corresponds to qubit q_j; q_0 is the least
 // significant bit. This matches the state-vector convention where amplitude
@@ -14,6 +22,7 @@
 #pragma once
 
 #include <cstddef>
+#include <memory>
 #include <vector>
 
 #include "src/base/types.h"
@@ -36,11 +45,16 @@ class CMatrix {
   std::size_t dim() const { return dim_; }
   unsigned num_qubits() const;
 
-  cplx64& at(std::size_t r, std::size_t c) { return data_[r * dim_ + c]; }
-  const cplx64& at(std::size_t r, std::size_t c) const { return data_[r * dim_ + c]; }
+  cplx64& at(std::size_t r, std::size_t c) { return data()[r * dim_ + c]; }
+  const cplx64& at(std::size_t r, std::size_t c) const {
+    return (*data_)[r * dim_ + c];
+  }
 
-  const std::vector<cplx64>& data() const { return data_; }
-  std::vector<cplx64>& data() { return data_; }
+  const std::vector<cplx64>& data() const;
+  std::vector<cplx64>& data() {
+    if (!data_ || data_.use_count() > 1) unshare();
+    return *data_;
+  }
 
   // Matrix product this * rhs (dimensions must match).
   CMatrix operator*(const CMatrix& rhs) const;
@@ -70,11 +84,15 @@ class CMatrix {
   // gates without ever materializing the expanded (sparse) matrix.
   void compose_on_qubits(const CMatrix& gate, const std::vector<unsigned>& positions);
 
-  bool operator==(const CMatrix& rhs) const = default;
+  bool operator==(const CMatrix& rhs) const {
+    return dim_ == rhs.dim_ && data() == rhs.data();
+  }
 
  private:
+  void unshare();  // gives data_ a private (possibly empty) buffer
+
   std::size_t dim_ = 0;
-  std::vector<cplx64> data_;
+  std::shared_ptr<std::vector<cplx64>> data_;  // row-major; shared by copies
 };
 
 // Eigenvalues of a Hermitian matrix (ascending), by cyclic complex Jacobi

@@ -58,13 +58,18 @@ class SimulatorDist {
   static constexpr index_t kSwapChunkAmps = index_t{1} << 14;
 
   // Every rank constructs its own instance with the same num_qubits, which
-  // with the rank count must satisfy PartitionLayout::fits.
+  // with the rank count must satisfy PartitionLayout::fits. The slice reuses
+  // `reuse`'s allocation (buffer pooling) when it has the local size, and is
+  // allocated otherwise.
   SimulatorDist(Comm& comm, unsigned num_qubits,
-                ThreadPool& pool = ThreadPool::shared())
+                ThreadPool& pool = ThreadPool::shared(),
+                StateVector<FP> reuse = {})
       : comm_(&comm),
         layout_(num_qubits, static_cast<unsigned>(comm.size())),
         pool_(&pool),
-        slice_(layout_.local_qubits()) {
+        slice_(reuse.num_qubits() == layout_.local_qubits()
+                   ? std::move(reuse)
+                   : StateVector<FP>(layout_.local_qubits())) {
     set_zero_state();
   }
 
@@ -79,14 +84,6 @@ class SimulatorDist {
     layout_.reset();
   }
 
-  // Reclaims a previously released slice's allocation (buffer pooling).
-  // Returns false (and keeps the current slice) on a size mismatch.
-  bool adopt_slice(StateVector<FP>&& s) {
-    if (s.num_qubits() != local_qubits()) return false;
-    slice_ = std::move(s);
-    set_zero_state();
-    return true;
-  }
   StateVector<FP> release_slice() { return std::move(slice_); }
 
   // Applies one (unitary) gate. Swaps evict by farthest next use per
@@ -257,22 +254,31 @@ class SimulatorDist {
     return total;
   }
 
-  // Gathers the full state (logical qubit order) on rank 0; other ranks
-  // receive an empty state. All ranks must call.
-  StateVector<FP> gather(qubit_t /*unused*/ = 0) {
+  // Gathers the full state (logical qubit order) on rank 0, into `reuse`'s
+  // allocation when it has the full size; other ranks receive an empty
+  // state. Slices travel in kSwapChunkAmps chunks through the persistent
+  // receive buffer, scattered as they arrive. All ranks must call.
+  StateVector<FP> gather(StateVector<FP> reuse = {}) {
+    const index_t chunk = std::min(kSwapChunkAmps, slice_.size());
     if (comm_->rank() != 0) {
-      comm_->send(0, kGatherTag, slice_.data(),
-                  slice_.size() * sizeof(cplx<FP>));
+      for (index_t at = 0; at < slice_.size(); at += chunk) {
+        comm_->send(0, kGatherTag, slice_.data() + at, chunk * sizeof(cplx<FP>));
+      }
       comm_->barrier();
       StateVector<FP> empty(1);
       return empty;
     }
-    StateVector<FP> out(num_qubits());
+    StateVector<FP> out = reuse.num_qubits() == num_qubits()
+                              ? std::move(reuse)
+                              : StateVector<FP>(num_qubits());
     layout_.scatter(0, slice_.data(), out.data());
-    StateVector<FP> part(local_qubits());
+    std::vector<cplx<FP>>& part = rbuf_[0];
+    if (part.size() < chunk) part.resize(chunk);
     for (int r = 1; r < comm_->size(); ++r) {
-      comm_->recv(r, kGatherTag, part.data(), part.size() * sizeof(cplx<FP>));
-      layout_.scatter(r, part.data(), out.data());
+      for (index_t at = 0; at < slice_.size(); at += chunk) {
+        comm_->recv(r, kGatherTag, part.data(), chunk * sizeof(cplx<FP>));
+        layout_.scatter_range(r, at, chunk, part.data(), out.data());
+      }
     }
     comm_->barrier();
     return out;
@@ -326,6 +332,16 @@ class SimulatorDist {
     const auto idx_of = [&](index_t t) {
       return ((t >> lslot) << (lslot + 1)) | (t & (bit - 1)) | keep;
     };
+    // Visits t in [base, base + cnt) as runs whose idx_of is contiguous as
+    // well, calling fn(t - base, idx_of(t), run length): a run ends where t
+    // crosses a multiple of `bit`, so a high local slot moves whole blocks.
+    const auto runs = [&](index_t base, index_t cnt, auto&& fn) {
+      for (index_t t = base, end = base + cnt; t < end;) {
+        const index_t len = std::min(bit - (t & (bit - 1)), end - t);
+        fn(t - base, idx_of(t), len);
+        t += len;
+      }
+    };
 
     const index_t chunk = std::min(kSwapChunkAmps, half);
     const index_t nchunks = (half + chunk - 1) / chunk;
@@ -349,7 +365,9 @@ class SimulatorDist {
                                      cnt * sizeof(cplx<FP>));
         });
         timed(stats_.pack_ns, [&] {
-          for (index_t t = 0; t < cnt; ++t) out[t] = slice_[idx_of(base + t)];
+          runs(base, cnt, [&](index_t off, index_t at, index_t len) {
+            std::copy_n(slice_.data() + at, len, out.data() + off);
+          });
         });
         timed(stats_.exchange_ns, [&] {
           comm_->isend(partner, kSwapTag, out.data(), cnt * sizeof(cplx<FP>));
@@ -360,7 +378,9 @@ class SimulatorDist {
         const std::vector<cplx<FP>>& in = rbuf_[j & 1];
         timed(stats_.exchange_ns, [&] { comm_->wait(rreq[j & 1]); });
         timed(stats_.unpack_ns, [&] {
-          for (index_t t = 0; t < cnt; ++t) slice_[idx_of(base + t)] = in[t];
+          runs(base, cnt, [&](index_t off, index_t at, index_t len) {
+            std::copy_n(in.data() + off, len, slice_.data() + at);
+          });
         });
       }
     }

@@ -1,5 +1,6 @@
 #include "src/engine/backend.h"
 
+#include <algorithm>
 #include <array>
 #include <optional>
 #include <utility>
@@ -90,7 +91,8 @@ class CpuBackend final : public Backend {
   explicit CpuBackend(Tracer* tracer)
       : sim_(ThreadPool::shared(), tracer),
         tracer_(tracer),
-        description_(strfmt("CPU (%u threads)", ThreadPool::shared().num_threads())) {}
+        description_(strfmt("CPU (%s, %u threads)", host_kernel_name(),
+                            ThreadPool::shared().num_threads())) {}
 
   const std::string& spec() const override { return spec_; }
   const std::string& description() const override { return description_; }
@@ -347,6 +349,19 @@ class MultiGcdBackend final : public Backend {
 // SPMD region; rank 0 assembles the output. Ranks are threads over host
 // memory, so like the cpu backend there is no device to install a fault
 // plan on (fault_spec is accepted and ignored).
+//
+// Ranks x threads, as in qHiPSTER: rank r applies its gates on its own pool
+// of max(1, nproc / N) threads, owned by the backend across requests, so N
+// ranks together use the host's cores and never more threads than cores
+// (for N <= nproc). Gate application is per-amplitude, so the thread count
+// changes no amplitude bit; only the renormalization after an in-circuit
+// measurement (statespace::norm2's per-thread partial sums) depends on it,
+// as cpu's does on the shared pool's size.
+
+// Threads each of `ranks` rank pools gets on this host.
+unsigned threads_per_rank(unsigned ranks) {
+  return std::max(1u, ThreadPool::shared().num_threads() / ranks);
+}
 
 template <typename FP>
 class DistBackend final : public Backend {
@@ -355,9 +370,15 @@ class DistBackend final : public Backend {
       : spec_(std::move(spec)),
         ranks_(ranks),
         tracer_(tracer),
-        description_(
-            strfmt("%u thread-ranks (message-passing dist)", ranks)),
-        pool_(/*max_per_key=*/ranks) {}
+        description_(strfmt("%u thread-ranks x %u threads (message-passing "
+                            "dist, %s)",
+                            ranks, threads_per_rank(ranks), host_kernel_name())),
+        pool_(/*max_per_key=*/ranks),
+        gathered_(/*max_per_key=*/1) {
+    for (unsigned r = 0; r < ranks; ++r) {
+      rank_pools_.push_back(std::make_unique<ThreadPool>(threads_per_rank(ranks)));
+    }
+  }
 
   const std::string& spec() const override { return spec_; }
   const std::string& description() const override { return description_; }
@@ -373,11 +394,10 @@ class DistBackend final : public Backend {
         rs.want_state || rs.num_samples > 0 || rs.observable != nullptr;
 
     dist::run_spmd(ranks_, [&](dist::Comm& comm) {
-      ThreadPool pool(1);
-      dist::SimulatorDist<FP> sim(comm, n, pool);
-      if (std::optional<StateVector<FP>> pooled = pool_.acquire(n)) {
-        sim.adopt_slice(std::move(*pooled));
-      }
+      ThreadPool& pool = *rank_pools_[static_cast<std::size_t>(comm.rank())];
+      std::optional<StateVector<FP>> pooled = pool_.acquire(n);
+      dist::SimulatorDist<FP> sim(comm, n, pool,
+                                  pooled ? std::move(*pooled) : StateVector<FP>());
 
       std::vector<index_t> meas;
       sim.run(fused, rs.seed, &meas, rs.deadline);
@@ -388,7 +408,11 @@ class DistBackend final : public Backend {
       }
 
       StateVector<FP> full(1);
-      if (gather_state) full = sim.gather();
+      if (gather_state) {
+        std::optional<StateVector<FP>> reuse;
+        if (comm.rank() == 0) reuse = gathered_.acquire(n);
+        full = sim.gather(reuse ? std::move(*reuse) : StateVector<FP>());
+      }
 
       const dist::DistStats& st = sim.stats();
       const std::vector<double> agg = comm.allreduce_sum(std::vector<double>{
@@ -406,10 +430,16 @@ class DistBackend final : public Backend {
         }
         if (rs.want_state) out.state = state_as_cplx64(full);
         if (rs.observable != nullptr) {
-          out.expectations = host_expectations(*rs.observable, full, pool);
+          // On the shared pool, as cpu does: the same state reduced over
+          // the same partial sums gives cpu's values bit for bit.
+          out.expectations =
+              host_expectations(*rs.observable, full, ThreadPool::shared());
         }
         round = st;
         std::copy(agg.begin(), agg.end(), summed.begin());
+        if (gather_state) {
+          gathered_.release(n, std::move(full), pow2(n) * sizeof(cplx<FP>));
+        }
       }
 
       pool_.release(n, sim.release_slice(),
@@ -427,8 +457,20 @@ class DistBackend final : public Backend {
     return out;
   }
 
-  engine::PoolStats pool_stats() const override { return pool_.stats(); }
-  void trim_pool() override { pool_.clear(); }
+  engine::PoolStats pool_stats() const override {
+    engine::PoolStats s = pool_.stats();
+    const engine::PoolStats g = gathered_.stats();
+    s.hits += g.hits;
+    s.misses += g.misses;
+    s.discarded += g.discarded;
+    s.bytes_pooled += g.bytes_pooled;
+    s.buffers_pooled += g.buffers_pooled;
+    return s;
+  }
+  void trim_pool() override {
+    pool_.clear();
+    gathered_.clear();
+  }
 
  private:
   // Cumulative dist counters on the trace (Chrome "C" events), alongside
@@ -445,7 +487,9 @@ class DistBackend final : public Backend {
   unsigned ranks_;
   Tracer* tracer_;
   std::string description_;
-  engine::BufferPool<StateVector<FP>> pool_;
+  std::vector<std::unique_ptr<ThreadPool>> rank_pools_;  // one per rank
+  engine::BufferPool<StateVector<FP>> pool_;      // rank slices
+  engine::BufferPool<StateVector<FP>> gathered_;  // rank 0's gathered state
   std::map<std::string, double> cumulative_;
 };
 

@@ -96,6 +96,7 @@ void FlightRecorder::capture(TraceEvent ev) {
     pending_.erase(oldest);
   }
   auto& events = pending_[ev.corr];
+  if (events.empty()) events.swap(spare_);  // reuse an evicted entry's buffer
   cached_corr_ = ev.corr;
   cached_events_ = &events;  // map node pointers are stable until erase
   events.push_back(std::move(ev));
@@ -123,13 +124,12 @@ void FlightRecorder::record_request(RequestRecord rec) {
   if (const auto it = pending_.find(e.rec.corr); it != pending_.end()) {
     if (e.rec.corr == cached_corr_) cached_events_ = nullptr;
     pending_events_ -= it->second.size();
-    for (auto& ev : it->second) {
-      if (e.events.size() < opt_.max_events_per_request) {
-        e.events.push_back(std::move(ev));
-      } else {
-        ++dropped_;
-      }
-    }
+    // capture() caps each pending list at max_events_per_request, so the
+    // whole list moves over; the slot's emptied buffer is kept for the next
+    // request's pending list instead of reallocating it.
+    e.events.swap(it->second);
+    spare_ = std::move(it->second);
+    spare_.clear();
     pending_.erase(it);
   }
   index_[e.rec.corr] = slot;

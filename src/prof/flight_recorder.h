@@ -146,6 +146,9 @@ class FlightRecorder {
   // same pending_ entry. Invalidated whenever that entry is erased.
   std::uint64_t cached_corr_ = 0;
   std::vector<TraceEvent>* cached_events_ = nullptr;
+  // An evicted ring entry's cleared event buffer, handed to the next new
+  // pending list: in steady state no event list is reallocated.
+  std::vector<TraceEvent> spare_;
 };
 
 }  // namespace qhip::prof

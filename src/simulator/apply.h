@@ -6,16 +6,21 @@
 // Each group update is a dense 2^q x 2^q matrix-vector product — the
 // "small matrix-vector multiplication with low arithmetic intensity" the
 // paper identifies as the computational building block.
+//
+// Two kernels implement it (src/simulator/apply.cpp): an AVX2/FMA kernel,
+// the ancestor of the GPU H/L kernels (paper §2.3), and a portable scalar
+// kernel. Each process picks one once, from the CPU it runs on, and every
+// host backend — SimulatorCPU, SimulatorDist's rank-local applies and the
+// trajectory runner — goes through it.
 #pragma once
 
-#include <array>
+#include <algorithm>
 #include <vector>
 
-#include "src/base/bits.h"
 #include "src/base/error.h"
 #include "src/base/threadpool.h"
-#include "src/statespace/statevector.h"
 #include "src/core/gate.h"
+#include "src/statespace/statevector.h"
 
 namespace qhip {
 namespace detail {
@@ -31,102 +36,43 @@ std::vector<cplx<FP>> matrix_as(const CMatrix& m) {
   return out;
 }
 
-// Applies a q-qubit unitary given in `m` (row-major, dim 2^q) to the state,
-// for one outer-group range [begin, end). `sorted` are the ascending target
-// qubits; `member` the scatter masks. Compile-time Q unrolls the hot loop
-// for the common small widths.
-template <typename FP, unsigned Q>
-void apply_groups_fixed(const cplx<FP>* m, const std::array<qubit_t, Q>& sorted,
-                        const std::array<index_t, (std::size_t{1} << Q)>& member,
-                        cplx<FP>* amps, index_t begin, index_t end) {
-  constexpr std::size_t D = std::size_t{1} << Q;
-  std::array<cplx<FP>, D> tmp;
-  for (index_t o = begin; o < end; ++o) {
-    const index_t base = expand_bits(o, sorted);
-    for (std::size_t k = 0; k < D; ++k) tmp[k] = amps[base | member[k]];
-    for (std::size_t r = 0; r < D; ++r) {
-      cplx<FP> acc{};
-      const cplx<FP>* row = m + r * D;
-      for (std::size_t c = 0; c < D; ++c) acc += row[c] * tmp[c];
-      amps[base | member[r]] = acc;
-    }
-  }
-}
-
-template <typename FP>
-void apply_groups_dyn(const cplx<FP>* m, const std::vector<qubit_t>& sorted,
-                      const std::vector<index_t>& member, cplx<FP>* amps,
-                      index_t begin, index_t end) {
-  const std::size_t d = member.size();
-  std::vector<cplx<FP>> tmp(d);
-  for (index_t o = begin; o < end; ++o) {
-    const index_t base = expand_bits(o, sorted);
-    for (std::size_t k = 0; k < d; ++k) tmp[k] = amps[base | member[k]];
-    for (std::size_t r = 0; r < d; ++r) {
-      cplx<FP> acc{};
-      const cplx<FP>* row = m + r * d;
-      for (std::size_t c = 0; c < d; ++c) acc += row[c] * tmp[c];
-      amps[base | member[r]] = acc;
-    }
-  }
-}
-
 }  // namespace detail
 
+// The host apply kernels.
+//   kScalar   std::complex multiply-add per amplitude; runs anywhere.
+//   kAvx2Fma  256-bit lanes, complex products as fmaddsub (needs AVX2+FMA).
+// The two round differently, so a process must use one for every backend:
+// apply_gate_routed_inplace always runs host_kernel().
+enum class HostKernel { kScalar, kAvx2Fma };
+
+// The kernel this process dispatches to: kAvx2Fma when the CPU supports
+// AVX2 and FMA, else kScalar. Decided once, on first use.
+HostKernel host_kernel();
+
+// "avx2+fma" or "scalar" — the label backends report.
+const char* host_kernel_name(HostKernel k = host_kernel());
+
 // Applies a (normalized, uncontrolled) unitary gate with its j-th target
-// routed to bit position `slots[j]` of the state index. The slots may be in
-// any relative order: the matrix stays in the gate's own target basis and
-// only the amplitude addressing is permuted, so the floating-point
-// accumulation order — and therefore the result, bit for bit — is identical
-// for every routing. The distributed simulator relies on this to apply
-// logically-normalized gates onto its permuted physical slot layout and
-// still match the single-node backends exactly.
+// routed to bit position `slots[j]` of the state index, with kernel `k`
+// (kAvx2Fma throws on a CPU without AVX2/FMA). The slots may be in any
+// relative order: the matrix stays in the gate's own target basis and only
+// the amplitude addressing is permuted. Each output amplitude accumulates
+// its row over the matrix columns in the gate's target order with the same
+// per-lane arithmetic whichever slots the targets land on — so the result,
+// bit for bit, is identical for every routing. The distributed simulator
+// relies on this to apply logically-normalized gates onto its permuted
+// physical slot layout and still match the single-node backends exactly.
+// Instantiated for float and double in apply.cpp.
 template <typename FP>
-void apply_gate_routed_inplace(const Gate& g,
-                               const std::vector<qubit_t>& slots,
+void apply_gate_routed_with(HostKernel k, const Gate& g,
+                            const std::vector<qubit_t>& slots,
+                            StateVector<FP>& state, ThreadPool& pool);
+
+// apply_gate_routed_with on this process's kernel.
+template <typename FP>
+void apply_gate_routed_inplace(const Gate& g, const std::vector<qubit_t>& slots,
                                StateVector<FP>& state, ThreadPool& pool) {
-  check(g.kind == GateKind::kUnitary, "apply_gate_inplace: not a unitary gate");
-  check(g.controls.empty(), "apply_gate_inplace: fold controls first");
-  const unsigned q = g.num_targets();
-  check(q <= state.num_qubits(), "apply_gate_inplace: gate wider than state");
-  check(slots.size() == q, "apply_gate_inplace: one slot per target");
-
-  std::vector<qubit_t> sorted = slots;
-  std::sort(sorted.begin(), sorted.end());
-  check(std::adjacent_find(sorted.begin(), sorted.end()) == sorted.end(),
-        "apply_gate_inplace: duplicate target slots");
-  for (qubit_t t : sorted) {
-    check(t < state.num_qubits(), "apply_gate_inplace: target out of range");
-  }
-
-  const std::vector<cplx<FP>> m = detail::matrix_as<FP>(g.matrix);
-  const std::vector<index_t> member = scatter_masks(slots);
-  const index_t outer = state.size() >> q;
-  cplx<FP>* amps = state.data();
-
-  auto dispatch = [&](auto qc) {
-    constexpr unsigned Q = decltype(qc)::value;
-    std::array<qubit_t, Q> sq{};
-    std::copy_n(sorted.begin(), Q, sq.begin());
-    std::array<index_t, (std::size_t{1} << Q)> mm{};
-    std::copy_n(member.begin(), mm.size(), mm.begin());
-    pool.parallel_ranges(outer, [&](unsigned, index_t b, index_t e) {
-      detail::apply_groups_fixed<FP, Q>(m.data(), sq, mm, amps, b, e);
-    });
-  };
-
-  switch (q) {
-    case 1: dispatch(std::integral_constant<unsigned, 1>{}); break;
-    case 2: dispatch(std::integral_constant<unsigned, 2>{}); break;
-    case 3: dispatch(std::integral_constant<unsigned, 3>{}); break;
-    case 4: dispatch(std::integral_constant<unsigned, 4>{}); break;
-    case 5: dispatch(std::integral_constant<unsigned, 5>{}); break;
-    case 6: dispatch(std::integral_constant<unsigned, 6>{}); break;
-    default:
-      pool.parallel_ranges(outer, [&](unsigned, index_t b, index_t e) {
-        detail::apply_groups_dyn<FP>(m.data(), sorted, member, amps, b, e);
-      });
-  }
+  apply_gate_routed_with(host_kernel(), g, slots, state, pool);
 }
 
 // Applies a (normalized, uncontrolled) unitary gate to `state`, splitting the

@@ -2,10 +2,10 @@
 //
 // The paper's CPU baseline runs qsim with 128 OpenMP threads on a 64-core
 // EPYC "Trento"; here the thread count is a runtime parameter of the shared
-// ThreadPool. Gate application is the blocked in-place update from
-// src/simulator/apply.h; measurement gates collapse via the state-space
-// layer with a per-gate Philox stream so results are independent of the
-// thread count.
+// ThreadPool. Gate application is the host apply kernel behind
+// src/simulator/apply.h (AVX2/FMA or scalar, picked once per process);
+// measurement gates collapse via the state-space layer with a per-gate
+// Philox stream so results are independent of the thread count.
 #pragma once
 
 #include <cstdint>

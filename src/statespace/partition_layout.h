@@ -217,8 +217,26 @@ class PartitionLayout {
   // in `full`, the 2^n-amplitude state in logical order.
   template <typename T>
   void scatter(unsigned part, const T* slice, T* full) const {
-    for (index_t i = 0; i < pow2(local_); ++i) {
-      full[logical_index(part, i)] = slice[i];
+    scatter_range(part, 0, pow2(local_), slice, full);
+  }
+
+  // scatter() of amplitudes [first, first + count) of the part only; `slice`
+  // points at amplitude `first`. Both bounds are multiples of 256 (or the
+  // whole part, when it is smaller).
+  template <typename T>
+  void scatter_range(unsigned part, index_t first, index_t count,
+                     const T* slice, T* full) const {
+    // physical_to_logical maps each slot bit to one qubit bit, so it splits
+    // over OR: the low slot bits go through one table, the rest once per
+    // block of 2^lb amplitudes.
+    const unsigned lb = std::min(local_, 8u);
+    check(((first | count) & low_mask(lb)) == 0 && first + count <= pow2(local_),
+          "PartitionLayout::scatter_range: range not on block boundaries");
+    std::vector<index_t> low(pow2(lb));
+    for (index_t j = 0; j < low.size(); ++j) low[j] = physical_to_logical(j);
+    for (index_t at = 0; at < count; at += low.size()) {
+      const index_t base = logical_index(part, first + at);
+      for (index_t j = 0; j < low.size(); ++j) full[base | low[j]] = slice[at + j];
     }
   }
 

@@ -1,6 +1,9 @@
 // Coverage for the small base utilities: Timer, aligned allocation.
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
+#include <fstream>
 #include <thread>
 #include <vector>
 
@@ -33,10 +36,34 @@ TEST(Timer, NowMicrosMonotone) {
 }
 
 TEST(Aligned, VectorsAreCacheLineAligned) {
-  for (std::size_t n : {1u, 7u, 64u, 1000u}) {
+  for (std::size_t n : {1u, 7u, 64u, 1000u, 1u << 17, (1u << 17) + 3}) {
     std::vector<cplx32, AlignedAllocator<cplx32>> v(n);
     EXPECT_EQ(reinterpret_cast<std::uintptr_t>(v.data()) % kAlign, 0u) << n;
   }
+}
+
+// Resident set size of this process, from /proc/self/statm (in pages).
+std::size_t resident_bytes() {
+  std::ifstream statm("/proc/self/statm");
+  std::size_t size = 0, resident = 0;
+  statm >> size >> resident;
+  return resident * static_cast<std::size_t>(sysconf(_SC_PAGESIZE));
+}
+
+// A state freed by one request must not stay resident: the first large
+// free would raise glibc's mmap threshold to its size, after which a smaller
+// multi-megabyte block from malloc stays resident in the arena once freed.
+TEST(Aligned, LargeBuffersLeaveTheResidentSetWhenFreed) {
+  using Buffer = std::vector<cplx32, AlignedAllocator<cplx32>>;
+  constexpr std::size_t kBytes = std::size_t{8} << 20;
+  { Buffer first(2 * kBytes / sizeof(cplx32)); }
+  const std::size_t before = resident_bytes();
+  {
+    Buffer v(kBytes / sizeof(cplx32));  // zero-filled, so every page touched
+    EXPECT_EQ(reinterpret_cast<std::uintptr_t>(v.data()) % kAlign, 0u);
+    EXPECT_GE(resident_bytes(), before + kBytes / 2);
+  }
+  EXPECT_LT(resident_bytes(), before + kBytes / 4);
 }
 
 TEST(Aligned, AllocatorEquality) {

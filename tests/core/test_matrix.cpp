@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <numbers>
+#include <utility>
 
 #include "src/base/error.h"
 #include "src/base/rng.h"
@@ -29,6 +30,36 @@ TEST(CMatrix, IdentityAndDim) {
       EXPECT_EQ(i4.at(r, c), (r == c ? cplx64{1} : cplx64{}));
     }
   }
+}
+
+// Copies share their entries until one is written, and writes never show
+// through to another copy: value semantics with the memory of one buffer.
+TEST(CMatrix, CopiesShareEntriesUntilWritten) {
+  const CMatrix a = CMatrix::identity(4);
+  CMatrix b = a;
+  CMatrix c = b;
+  EXPECT_EQ(&a.data(), &std::as_const(b).data());  // one buffer, three copies
+  b.at(0, 1) = 2.0;
+  EXPECT_EQ(a.at(0, 1), cplx64(0.0));
+  EXPECT_EQ(std::as_const(c).at(0, 1), cplx64(0.0));
+  EXPECT_EQ(b.at(0, 1), cplx64(2.0));
+  for (cplx64& v : c.data()) v *= 3.0;
+  EXPECT_EQ(a.at(1, 1), cplx64(1.0));
+  EXPECT_EQ(b.at(1, 1), cplx64(1.0));
+  EXPECT_EQ(c.at(1, 1), cplx64(3.0));
+  EXPECT_NE(a, b);
+  EXPECT_EQ(a, CMatrix::identity(4));  // equality compares entries
+  // A matrix built in place (fusion composes into a copy) leaves its source
+  // alone.
+  CMatrix fused = a;
+  fused.compose_on_qubits(CMatrix(2, {0, 1, 1, 0}), {0});
+  EXPECT_EQ(a, CMatrix::identity(4));
+  EXPECT_EQ(fused.at(1, 0), cplx64(1.0));
+  // Default-constructed: empty, and writable once given entries.
+  CMatrix e;
+  EXPECT_TRUE(std::as_const(e).data().empty());
+  EXPECT_TRUE(e.data().empty());
+  EXPECT_EQ(e, CMatrix());
 }
 
 TEST(CMatrix, RejectsNonPow2) {

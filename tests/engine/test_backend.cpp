@@ -3,6 +3,9 @@
 // arithmetic.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+
 #include "src/base/error.h"
 #include "src/core/gates.h"
 #include "src/engine/backend.h"
@@ -35,6 +38,28 @@ TEST(BackendFactory, CreatesEverySpec) {
   EXPECT_EQ(create_backend("cpu", Precision::kDouble)->precision(),
             Precision::kDouble);
   EXPECT_EQ(create_backend("hip", "double")->precision(), Precision::kDouble);
+}
+
+// Host backends name the apply kernel they run, and it follows the CPU:
+// avx2+fma exactly when the CPU has both extensions. dist:N also names its
+// threads per rank: nproc / N, at least 1.
+TEST(BackendFactory, HostLabelsNameTheDispatchedKernel) {
+  const bool avx2 =
+      __builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma");
+  const std::string kernel = avx2 ? "avx2+fma" : "scalar";
+  const unsigned nproc = ThreadPool::shared().num_threads();
+  const auto cpu = create_backend("cpu", Precision::kSingle);
+  EXPECT_EQ(cpu->description(),
+            "CPU (" + kernel + ", " + std::to_string(nproc) + " threads)");
+  for (unsigned ranks : {2u, 4u, 8u}) {
+    const auto dist = create_backend("dist:" + std::to_string(ranks),
+                                     Precision::kDouble);
+    const unsigned per_rank = std::max(1u, nproc / ranks);
+    EXPECT_EQ(dist->description(),
+              std::to_string(ranks) + " thread-ranks x " +
+                  std::to_string(per_rank) + " threads (message-passing dist, " +
+                  kernel + ")");
+  }
 }
 
 TEST(BackendFactory, RejectsUnknownSpecs) {

@@ -2,7 +2,8 @@
 // from DESIGN.md against a fixed bound:
 //
 //   AutoPlacement           backend = "auto" reaches >= 0.95x the best static
-//                           candidate and >= 2x the worst, per workload class,
+//                           candidate (median of paired runs) and >= 2x the
+//                           worst, per workload class,
 //                           bit-identical to its chosen backend (§12)
 //   TrajectoryFanout        one trajectory-kind request fanned over 8 workers
 //                           beats the serial reference loop by a floor scaled
@@ -47,26 +48,33 @@ double median(std::vector<double> v) {
   return n % 2 ? v[n / 2] : 0.5 * (v[n / 2 - 1] + v[n / 2]);
 }
 
-// Best-observed seconds per request over `k` sequential bypass-cache runs of
-// `c` pinned to `backend` ("auto" included), distinct seeds so nothing
-// coalesces. Minimum, not mean: the small class finishes in ~0.2 ms, where
-// scheduler interference in either leg would otherwise dominate the
-// auto-vs-static ratio; the fastest run is the interference-free cost.
-double min_seconds(SimulationEngine& eng, const Circuit& c,
-                   const std::string& backend, std::size_t k,
-                   std::uint64_t seed_base) {
+// Seconds of one bypass-cache request of `c` pinned to `backend` ("auto"
+// included); callers give distinct seeds so nothing coalesces.
+double request_seconds(SimulationEngine& eng, const Circuit& c,
+                       const std::string& backend, std::uint64_t seed) {
   SimRequest req;
   req.circuit = c;
   req.backend = backend;
   req.num_samples = 64;
   req.bypass_result_cache = true;
+  req.seed = seed;
+  Timer t;
+  const SimResult r = eng.run(req);
+  const double s = t.seconds();
+  EXPECT_TRUE(r.ok) << backend << ": " << r.error;
+  return s;
+}
+
+// Best-observed seconds per request over `k` sequential runs. Minimum, not
+// mean: the small class finishes in ~0.2 ms, where scheduler interference
+// would otherwise decide which static candidate looks best or worst; the
+// fastest run is the interference-free cost.
+double min_seconds(SimulationEngine& eng, const Circuit& c,
+                   const std::string& backend, std::size_t k,
+                   std::uint64_t seed_base) {
   double best = 0;
   for (std::size_t i = 0; i < k; ++i) {
-    req.seed = seed_base + i;
-    Timer t;
-    const SimResult r = eng.run(req);
-    const double s = t.seconds();
-    EXPECT_TRUE(r.ok) << backend << ": " << r.error;
+    const double s = request_seconds(eng, c, backend, seed_base + i);
     if (i == 0 || s < best) best = s;
   }
   return best;
@@ -113,7 +121,26 @@ TEST(BenchGates, AutoPlacement) {
     // per-f calibration for yet (each costs at most one mispredicted run),
     // so the measured leg sees the converged steady state.
     min_seconds(eng, cls.circuit, "auto", 8, 3000);
-    const double auto_s = min_seconds(eng, cls.circuit, "auto", runs, 2000);
+    // auto against the best static candidate in strict turns: the two legs
+    // of a pair run back to back, each first in half the pairs, so a slow
+    // phase of the shared host lands on both legs of a pair alike. The gate
+    // reads the median of the per-pair ratios; the worst-candidate check
+    // keeps its min-of-k legs (its margin is several-fold).
+    std::vector<double> ratios;
+    double auto_s = 0;
+    for (std::size_t i = 0; i < 2 * runs; ++i) {
+      const std::uint64_t seed = 4000 + i;
+      double static_s = 0, a = 0;
+      if (i % 2 == 0) {
+        static_s = request_seconds(eng, cls.circuit, best_b, seed);
+        a = request_seconds(eng, cls.circuit, "auto", seed);
+      } else {
+        a = request_seconds(eng, cls.circuit, "auto", seed);
+        static_s = request_seconds(eng, cls.circuit, best_b, seed);
+      }
+      ratios.push_back(static_s / a);
+      if (i == 0 || a < auto_s) auto_s = a;
+    }
 
     // Bit-identity: read one auto request's placement from its planner
     // counters and replay it explicitly.
@@ -136,12 +163,12 @@ TEST(BenchGates, AutoPlacement) {
     EXPECT_EQ(ar.samples, er.samples) << cls.name;
     EXPECT_EQ(ar.measurements, er.measurements) << cls.name;
 
-    const double vs_best = best / auto_s;
+    const double vs_best = median(ratios);
     const double vs_worst = worst / auto_s;
-    std::printf("%-10s auto %.3f ms = %.2fx best static (%s), %.2fx worst "
-                "(%s), placed on %s\n",
-                cls.name, auto_s * 1e3, vs_best, best_b.c_str(), vs_worst,
-                worst_b.c_str(), ar.backend_used.c_str());
+    std::printf("%-10s auto %.3f ms = %.2fx best static (%s; median of %zu "
+                "paired ratios), %.2fx worst (%s), placed on %s\n",
+                cls.name, auto_s * 1e3, vs_best, best_b.c_str(), ratios.size(),
+                vs_worst, worst_b.c_str(), ar.backend_used.c_str());
     EXPECT_GE(vs_best, 0.95) << cls.name << ": auto vs best static " << best_b;
     EXPECT_GE(vs_worst, 2.0) << cls.name << ": auto vs worst static "
                              << worst_b;

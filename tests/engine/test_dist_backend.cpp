@@ -165,6 +165,28 @@ TEST(DistBackend, PoolReusesSlicesAcrossRequests) {
   EXPECT_EQ(backend->pool_stats().bytes_pooled, 0u);
 }
 
+// Rank 0's gathered full state is pooled too: a second sampling run
+// reuses it (one more hit and miss than the slices alone) and returns the
+// same state and samples as the first.
+TEST(DistBackend, PoolReusesGatheredStateAcrossRequests) {
+  const auto backend = create_backend("dist:4", Precision::kSingle);
+  const Circuit fused = fuse_circuit(make_rqc(2, 4, 6, 1), {2}).circuit;
+  BackendRunSpec rs;
+  rs.want_state = true;
+  rs.num_samples = 32;
+  const BackendRunOutput first = backend->run(fused, rs);
+  const BackendRunOutput second = backend->run(fused, rs);
+  EXPECT_EQ(second.state, first.state);
+  EXPECT_EQ(second.samples, first.samples);
+  const engine::PoolStats s = backend->pool_stats();
+  EXPECT_EQ(s.misses, 5u);
+  EXPECT_EQ(s.hits, 5u);
+  EXPECT_EQ(s.buffers_pooled, 5u);
+  EXPECT_EQ(s.bytes_pooled, 2 * pow2(fused.num_qubits) * sizeof(cplx<float>));
+  backend->trim_pool();
+  EXPECT_EQ(backend->pool_stats().bytes_pooled, 0u);
+}
+
 // dist ranks are host threads — there is no virtual device to install a
 // fault plan on, so (like cpu) a fault spec is accepted and ignored.
 TEST(DistBackend, FaultSpecIgnored) {

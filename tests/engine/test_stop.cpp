@@ -84,33 +84,43 @@ TEST(EngineStop, QueuedRequestsFailStructuredInFlightFinishes) {
   SimulationEngine eng(opt);
 
   const Circuit c = work_circuit(14, 8);
-  std::vector<std::future<SimResult>> futures;
-  for (int i = 0; i < 6; ++i) {
+  const auto request = [&c](int i) {
     SimRequest req;
     req.circuit = c;
     req.backend = "cpu";
     req.num_samples = 8;
     req.seed = 100 + static_cast<std::uint64_t>(i);  // distinct: no coalescing
     req.bypass_result_cache = true;
-    futures.push_back(eng.submit(std::move(req)));
-  }
-  std::this_thread::sleep_for(5ms);  // let the single worker dequeue one
-  eng.stop();
+    return req;
+  };
+  // The single worker holds the first request in its completion callback
+  // until the drain has failed a queued one, so the five behind it are still
+  // queued when stop() runs, however fast the simulation is.
+  std::promise<void> in_callback, drained;
+  std::shared_future<void> drained_f = drained.get_future().share();
+  std::promise<SimResult> first;
+  eng.submit(request(0), [&](SimResult r) {
+    in_callback.set_value();
+    drained_f.wait_for(30s);
+    first.set_value(std::move(r));
+  });
+  std::vector<std::future<SimResult>> queued;
+  for (int i = 1; i < 6; ++i) queued.push_back(eng.submit(request(i)));
+  in_callback.get_future().wait();
 
-  std::size_t ok = 0, rejected = 0;
-  for (auto& f : futures) {
+  std::thread stopper([&eng] { eng.stop(); });
+  EXPECT_EQ(queued.front().wait_for(30s), std::future_status::ready);
+  drained.set_value();
+  stopper.join();
+
+  EXPECT_TRUE(first.get_future().get().ok);
+  for (auto& f : queued) {
     ASSERT_EQ(f.wait_for(30s), std::future_status::ready);
     const SimResult res = f.get();
-    if (res.ok) {
-      ++ok;
-    } else {
-      EXPECT_EQ(res.code, SimErrorCode::kRejected);
-      EXPECT_NE(res.error.find("drained"), std::string::npos) << res.error;
-      ++rejected;
-    }
+    EXPECT_FALSE(res.ok);
+    EXPECT_EQ(res.code, SimErrorCode::kRejected);
+    EXPECT_NE(res.error.find("drained"), std::string::npos) << res.error;
   }
-  EXPECT_EQ(ok + rejected, 6u);
-  EXPECT_GE(rejected, 1u);  // 1 worker, 6 requests: the drain catches some
 }
 
 TEST(EngineStop, SubmitAfterStopRejectsImmediately) {

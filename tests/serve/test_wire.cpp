@@ -135,6 +135,28 @@ TEST(ServeJson, MalformedInputThrowsCoded) {
   }
 }
 
+// Numbers follow RFC 8259's grammar, not strtod's: a sign only in front,
+// digits on both sides of the point, digits in the exponent.
+TEST(ServeJson, NumberGrammarIsRfc8259) {
+  for (const char* bad : {"+1", ".5", "1.", "-.5", "1e", "-", "1.e5", "-01",
+                          "1e+", "[+1]", "{\"a\":.5}"}) {
+    try {
+      json_parse(bad);
+      FAIL() << "expected throw for: " << bad;
+    } catch (const CodedError& e) {
+      EXPECT_EQ(e.code(), ErrorCode::kMalformedInput) << bad;
+    }
+  }
+  const std::pair<const char*, double> good[] = {
+      {"-0", -0.0}, {"0.5", 0.5}, {"1.5e-3", 1.5e-3}, {"2E+8", 2e8}};
+  for (const auto& [tok, want] : good) {
+    const JsonPtr v = json_parse(tok);
+    EXPECT_EQ(v->as_double(tok), want) << tok;
+    EXPECT_EQ(std::signbit(v->as_double(tok)), std::signbit(want)) << tok;
+    EXPECT_EQ(v->raw_number, tok);
+  }
+}
+
 // Nesting depth of a parsed document: a scalar is 0, [] and {} are 1.
 std::size_t depth_of(const JsonValue& v) {
   std::size_t d = 0;

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <utility>
 
 #include "src/base/rng.h"
 #include "src/core/gates.h"
@@ -173,20 +174,33 @@ TEST(PartitionLayout, CollapseSplitMatchesBruteForce) {
 }
 
 TEST(PartitionLayout, ScatterPlacesEveryAmplitudeInLogicalOrder) {
-  Xoshiro256 rng(11);
-  PartitionLayout layout(6, 4);
-  scramble(layout, rng, 5);
-  const index_t part_size = pow2(layout.local_qubits());
-  std::vector<index_t> full(pow2(6), ~index_t{0});
-  for (unsigned k = 0; k < 4; ++k) {
-    // Each part's "amplitudes" are their own physical indices.
-    std::vector<index_t> slice(part_size);
-    for (index_t i = 0; i < part_size; ++i) slice[i] = k * part_size + i;
-    layout.scatter(k, slice.data(), full.data());
+  // Parts smaller and larger than scatter's 256-amplitude blocks; the larger
+  // one is also scattered in ranges, as the chunked dist gather does.
+  for (const auto& [n, parts] : {std::pair{6u, 4u}, std::pair{12u, 2u}}) {
+    Xoshiro256 rng(11);
+    PartitionLayout layout(n, parts);
+    scramble(layout, rng, 5);
+    const index_t part_size = pow2(layout.local_qubits());
+    std::vector<index_t> full(pow2(n), ~index_t{0});
+    for (unsigned k = 0; k < parts; ++k) {
+      // Each part's "amplitudes" are their own physical indices.
+      std::vector<index_t> slice(part_size);
+      for (index_t i = 0; i < part_size; ++i) slice[i] = k * part_size + i;
+      if (part_size <= 256) {
+        layout.scatter(k, slice.data(), full.data());
+        continue;
+      }
+      for (index_t at = 0; at < part_size; at += 512) {
+        layout.scatter_range(k, at, 512, slice.data() + at, full.data());
+      }
+    }
+    for (index_t x = 0; x < full.size(); ++x) {
+      EXPECT_EQ(full[x], layout.logical_to_physical(x)) << "n=" << n << " " << x;
+    }
   }
-  for (index_t x = 0; x < full.size(); ++x) {
-    EXPECT_EQ(full[x], layout.logical_to_physical(x)) << x;
-  }
+  int* none = nullptr;
+  EXPECT_THROW(PartitionLayout(12, 2).scatter_range(0, 100, 256, none, none),
+               Error);
 }
 
 }  // namespace
