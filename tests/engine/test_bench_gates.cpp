@@ -7,7 +7,8 @@
 //                           bit-identical to its chosen backend (§12)
 //   TrajectoryFanout        one trajectory-kind request fanned over 8 workers
 //                           beats the serial reference loop by a floor scaled
-//                           to the host's cores, bit-identically (§14)
+//                           to the host's cores (median of paired runs),
+//                           bit-identically (§14)
 //   FlightRecorderOverhead  the always-on flight recorder, with its ring
 //                           full, costs <= 2% with tracing off
 //                           (docs/OBSERVABILITY.md)
@@ -178,41 +179,69 @@ TEST(BenchGates, AutoPlacement) {
 TEST(BenchGates, TrajectoryFanout) {
   constexpr std::size_t kTrajectories = 32;
   constexpr unsigned kWorkers = 8;
+  constexpr std::size_t kPairs = 6;
   const Circuit circuit = make_rqc(3, 4, 8);
   const noise::NoiseModel model{noise::depolarizing(0.01)};
   const std::uint64_t seed = 42;
 
   ThreadPool serial_pool(1);
-  Timer t_serial;
-  const std::vector<double> ref = noise::trajectory_distribution<double>(
-      circuit, model, kTrajectories, seed, serial_pool);
-  const double serial_s = t_serial.seconds();
-
+  std::vector<double> ref;
+  auto serial_seconds = [&] {
+    Timer t;
+    ref = noise::trajectory_distribution<double>(circuit, model, kTrajectories,
+                                                 seed, serial_pool);
+    return t.seconds();
+  };
   EngineOptions opt;
   opt.num_workers = kWorkers;
   SimulationEngine eng(opt);
-  SimRequest req;
-  req.kind = RequestKind::kTrajectory;
-  req.circuit = circuit;
-  req.backend = "cpu";
-  req.precision = Precision::kDouble;
-  req.seed = seed;
-  req.noise = model;
-  req.num_trajectories = kTrajectories;
-  Timer t_eng;
-  const SimResult r = eng.run(std::move(req));
-  const double engine_s = t_eng.seconds();
-  ASSERT_TRUE(r.ok) << r.error;
-  EXPECT_EQ(r.distribution, ref);
+  std::vector<double> dist;
+  auto engine_seconds = [&] {
+    SimRequest req;
+    req.kind = RequestKind::kTrajectory;
+    req.circuit = circuit;
+    req.backend = "cpu";
+    req.precision = Precision::kDouble;
+    req.seed = seed;
+    req.noise = model;
+    req.num_trajectories = kTrajectories;
+    req.bypass_result_cache = true;
+    Timer t;
+    const SimResult r = eng.run(std::move(req));
+    const double s = t.seconds();
+    EXPECT_TRUE(r.ok) << r.error;
+    dist = r.distribution;
+    return s;
+  };
+
+  // Serial reference against the engine in strict turns, each leg first in
+  // half the pairs, so a slow phase of the shared host (or the engine's
+  // freshly started workers) lands on both legs of a pair alike. The gate
+  // reads the median of the per-pair ratios.
+  std::vector<double> ratios;
+  for (std::size_t i = 0; i < kPairs; ++i) {
+    double serial_s = 0, engine_s = 0;
+    if (i % 2 == 0) {
+      serial_s = serial_seconds();
+      engine_s = engine_seconds();
+    } else {
+      engine_s = engine_seconds();
+      serial_s = serial_seconds();
+    }
+    EXPECT_EQ(dist, ref) << "pair " << i;
+    ratios.push_back(serial_s / engine_s);
+  }
 
   // The fan-out cannot exceed the physical parallelism of this host: scale
   // the floor to min(workers, hardware threads).
   const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
   const unsigned par = std::min(kWorkers, hw);
   const double floor = par >= 8 ? 4.0 : (par > 1 ? 0.45 * par : 0.85);
-  const double speedup = serial_s / engine_s;
-  std::printf("serial %.3f s, engine %.3f s: %.2fx (floor %.2fx at "
-              "parallelism %u)\n", serial_s, engine_s, speedup, floor, par);
+  const double speedup = median(ratios);
+  const auto [lo, hi] = std::minmax_element(ratios.begin(), ratios.end());
+  std::printf("engine %.2fx serial (median of %zu paired ratios, range "
+              "%.2f-%.2f; floor %.2fx at parallelism %u)\n", speedup,
+              ratios.size(), *lo, *hi, floor, par);
   EXPECT_GE(speedup, floor);
 }
 

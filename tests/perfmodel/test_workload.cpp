@@ -56,6 +56,7 @@ TEST(Workload, FusedRqc30CountsAreStable) {
   const WorkloadStats w = WorkloadStats::from_circuit(fused.circuit);
   EXPECT_EQ(w.num_qubits, 30u);
   EXPECT_EQ(w.num_gates, 115u);
+  EXPECT_EQ(w.low_gates(), 32u);  // L-kernel launches at the paper's split
   EXPECT_GT(w.counts[4][0] + w.counts[4][1], 20u);
 }
 
