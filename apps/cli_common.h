@@ -38,8 +38,8 @@ struct CommonArgs {
   std::string backend = "hip";
   std::string precision = "single";
   std::string trace_file;
-  // -f / -w land here — the same FusionOptions SimRequest and RunOptions
-  // carry, so the flag table and the request structs cannot drift.
+  // -f / -w land here — the same FusionOptions SimRequest carries, so the
+  // flag table and the request struct cannot drift.
   FusionOptions fusion;
   std::uint64_t seed = 1;
   std::size_t samples = 0;

@@ -58,50 +58,33 @@ void Circuit::validate() const {
   }
 }
 
-namespace {
-
-// FNV-1a over arbitrary scalar payloads.
-constexpr std::uint64_t kFnvOffset = 0xcbf29ce484222325ull;
-constexpr std::uint64_t kFnvPrime = 0x100000001b3ull;
-
-void fold(std::uint64_t& h, const void* p, std::size_t bytes) {
-  const auto* b = static_cast<const unsigned char*>(p);
-  for (std::size_t i = 0; i < bytes; ++i) {
-    h ^= b[i];
-    h *= kFnvPrime;
-  }
-}
-
-template <typename T>
-void fold_scalar(std::uint64_t& h, T v) {
-  fold(h, &v, sizeof(v));
-}
-
-}  // namespace
-
-std::uint64_t hash_circuit(const Circuit& c) {
-  std::uint64_t h = kFnvOffset;
-  fold_scalar(h, c.num_qubits);
-  fold_scalar(h, c.gates.size());
+void append_circuit_identity(std::string& out, const Circuit& c) {
+  std::size_t bytes = 2 * sizeof(std::uint64_t);
   for (const Gate& g : c.gates) {
-    fold_scalar(h, static_cast<int>(g.kind));
-    fold(h, g.name.data(), g.name.size());
-    fold_scalar(h, g.time);
-    fold_scalar(h, g.qubits.size());
-    for (qubit_t q : g.qubits) fold_scalar(h, q);
-    fold_scalar(h, g.controls.size());
-    for (qubit_t q : g.controls) fold_scalar(h, q);
-    for (double p : g.params) fold_scalar(h, std::bit_cast<std::uint64_t>(p));
-    fold_scalar(h, g.matrix.dim());
-    for (std::size_t r = 0; r < g.matrix.dim(); ++r) {
-      for (std::size_t col = 0; col < g.matrix.dim(); ++col) {
-        const cplx64& a = g.matrix.at(r, col);
-        fold_scalar(h, std::bit_cast<std::uint64_t>(a.real()));
-        fold_scalar(h, std::bit_cast<std::uint64_t>(a.imag()));
-      }
-    }
+    const std::size_t words =
+        7 + g.qubits.size() + g.controls.size() + g.params.size();
+    bytes += words * sizeof(std::uint64_t) + g.name.size() +
+             g.matrix.data().size() * sizeof(cplx64);
   }
-  return h;
+  out.reserve(out.size() + bytes);
+  append_word(out, c.num_qubits);
+  append_word(out, c.gates.size());
+  for (const Gate& g : c.gates) {
+    append_word(out, static_cast<std::uint64_t>(g.kind));
+    append_word(out, g.name.size());
+    out += g.name;
+    append_word(out, g.time);
+    append_word(out, g.qubits.size());
+    for (qubit_t q : g.qubits) append_word(out, q);
+    append_word(out, g.controls.size());
+    for (qubit_t q : g.controls) append_word(out, q);
+    append_word(out, g.params.size());
+    for (double p : g.params) append_word(out, std::bit_cast<std::uint64_t>(p));
+    append_word(out, g.matrix.dim());
+    const std::vector<cplx64>& m = g.matrix.data();
+    out.append(reinterpret_cast<const char*>(m.data()),
+               m.size() * sizeof(cplx64));
+  }
 }
 
 Circuit inverse_circuit(const Circuit& c) {

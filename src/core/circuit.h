@@ -36,12 +36,19 @@ struct Circuit {
   void validate() const;
 };
 
-// Structural 64-bit hash of a circuit: folds in the qubit count and, per
-// gate, the kind, mnemonic, moment, targets, controls, parameters, and the
-// exact bit patterns of the matrix entries. Two circuits hash equal iff they
-// are structurally identical (up to 64-bit collisions); used as the
-// fused-circuit cache key in src/engine.
-std::uint64_t hash_circuit(const Circuit& c);
+// Appends `v`'s 8 bytes to `out`: the unit of every canonical identity
+// encoding (the circuit bytes below and the engine's request summary).
+inline void append_word(std::string& out, std::uint64_t v) {
+  out.append(reinterpret_cast<const char*>(&v), sizeof(v));
+}
+
+// Appends the canonical identity bytes of `c` to `out`: the qubit count, the
+// gate count and, per gate, its kind, length-prefixed mnemonic, moment,
+// count-prefixed targets, controls and parameters (bit-exact), the matrix
+// dimension and the raw matrix entries. Two circuits append equal bytes iff
+// they are structurally identical, bit for bit. Every engine cache keys on
+// these bytes (src/engine), so a lookup compares the full identity.
+void append_circuit_identity(std::string& out, const Circuit& c);
 
 // Total unitary of a (measurement-free) circuit as a dense 2^n x 2^n matrix.
 // Exponential in n — intended for tests with n <= 10.

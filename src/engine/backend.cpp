@@ -603,25 +603,4 @@ std::unique_ptr<Backend> create_backend(const std::string& spec,
       fault_spec);
 }
 
-RunResult run_circuit(Backend& backend, const Circuit& circuit, const RunOptions& opt) {
-  RunResult r;
-  Timer total;
-
-  Timer t0;
-  const FusionResult fused = fuse_circuit(circuit, opt.fusion);
-  r.fusion = fused.stats;
-  r.fuse_seconds = t0.seconds();
-
-  BackendRunSpec rs;
-  rs.seed = opt.seed;
-  rs.num_samples = opt.num_samples;
-  Timer t1;
-  BackendRunOutput out = backend.run(fused.circuit, rs);
-  r.sim_seconds = t1.seconds();
-  r.measurements = std::move(out.measurements);
-  r.samples = std::move(out.samples);
-  r.total_seconds = total.seconds();
-  return r;
-}
-
 }  // namespace qhip

@@ -21,7 +21,7 @@
 // BufferPool of state vectors keyed by qubit count, so serving many requests
 // reuses both the device and the allocations. run() executes an
 // already-fused circuit from |0...0> — transpiling is the caller's business
-// (the engine caches it; run_circuit below does it inline).
+// (the engine caches it; one-shot callers call fuse_circuit first).
 //
 // Calls to run() on one instance must be serialized by the caller (the
 // engine holds a per-instance lock); distinct instances are independent.
@@ -40,7 +40,6 @@
 #include "src/engine/buffer_pool.h"
 #include "src/obs/observable.h"
 #include "src/prof/trace.h"
-#include "src/simulator/runner.h"
 
 namespace qhip {
 
@@ -156,12 +155,5 @@ std::unique_ptr<Backend> create_backend(const std::string& spec,
                                         const std::string& precision,
                                         Tracer* tracer = nullptr,
                                         const std::string& fault_spec = {});
-
-// Fuses `circuit` under `opt` and runs it on `backend`, with the seed driving
-// both in-circuit measurements and final sampling. Callers needing amplitude
-// gathers or the full state fuse explicitly and call Backend::run with a
-// BackendRunSpec.
-RunResult run_circuit(Backend& backend, const Circuit& circuit,
-                      const RunOptions& opt = {});
 
 }  // namespace qhip

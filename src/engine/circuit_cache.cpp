@@ -4,6 +4,19 @@
 
 namespace qhip::engine {
 
+namespace {
+
+// The cache key: the fusion options, then the circuit's identity bytes.
+std::string cache_key(const Circuit& circuit, const FusionOptions& opt) {
+  std::string key;
+  append_word(key, opt.max_fused_qubits);
+  append_word(key, opt.window_moments);
+  append_circuit_identity(key, circuit);
+  return key;
+}
+
+}  // namespace
+
 std::size_t FusedCircuitCache::approx_bytes(const FusionResult& r) {
   std::size_t bytes = 0;
   for (const Gate& g : r.circuit.gates) {
@@ -15,7 +28,7 @@ std::size_t FusedCircuitCache::approx_bytes(const FusionResult& r) {
 
 template <typename BuildFn>
 std::shared_ptr<const FusionResult> FusedCircuitCache::get_or_build(
-    const Key& key, BuildFn&& build, bool* hit) {
+    std::string key, BuildFn&& build, bool* hit) {
   {
     std::lock_guard lk(mu_);
     auto it = index_.find(key);
@@ -42,8 +55,8 @@ std::shared_ptr<const FusionResult> FusedCircuitCache::get_or_build(
     lru_.splice(lru_.begin(), lru_, it->second);
     return it->second->fused;
   }
-  lru_.push_front(Entry{key, fused, approx_bytes(*fused)});
-  index_[key] = lru_.begin();
+  lru_.push_front(Entry{std::move(key), fused, approx_bytes(*fused)});
+  index_.emplace(lru_.front().key, lru_.begin());
   stats_.approx_bytes += lru_.front().approx_bytes;
   while (lru_.size() > capacity_) {
     const Entry& victim = lru_.back();
@@ -58,7 +71,7 @@ std::shared_ptr<const FusionResult> FusedCircuitCache::get_or_build(
 
 std::shared_ptr<const FusionResult> FusedCircuitCache::get_or_fuse(
     const Circuit& circuit, const FusionOptions& opt, bool* hit) {
-  return get_or_build(Key{hash_circuit(circuit), opt},
+  return get_or_build(cache_key(circuit, opt),
                       [&] { return fuse_circuit(circuit, opt); }, hit);
 }
 
@@ -70,7 +83,7 @@ std::shared_ptr<const FusionResult> FusedCircuitCache::get_or_normalize(
   reserved.max_fused_qubits = 0;
   reserved.window_moments = 0;
   return get_or_build(
-      Key{hash_circuit(circuit), reserved},
+      cache_key(circuit, reserved),
       [&] {
         Timer t;
         FusionResult r;

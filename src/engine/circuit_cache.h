@@ -1,17 +1,21 @@
 // Fused-circuit LRU cache.
 //
-// Transpiling (gate fusion) is re-done from scratch on every run_circuit
-// call; the paper bounds it below 2% of a single run, but a serving layer
-// that sees the same circuit thousands of times should pay it once. The
-// cache keys on (structural circuit hash, fusion options) and stores the
-// complete FusionResult behind a shared_ptr, so concurrent requests can hold
-// a hit while the cache evicts and refills around them.
+// Transpiling (gate fusion) costs little per run — the paper bounds it below
+// 2% of a single run — but a serving layer that sees the same circuit
+// thousands of times should pay it once. The cache keys on the fusion
+// options plus the circuit's canonical identity bytes
+// (append_circuit_identity), so a lookup compares the full circuit, never a
+// hash of it. It stores the complete FusionResult behind a shared_ptr, so
+// concurrent requests can hold a hit while the cache evicts and refills
+// around them.
 #pragma once
 
 #include <cstdint>
 #include <list>
 #include <memory>
 #include <mutex>
+#include <string>
+#include <string_view>
 #include <unordered_map>
 
 #include "src/core/circuit.h"
@@ -57,21 +61,8 @@ class FusedCircuitCache {
   void clear();
 
  private:
-  struct Key {
-    std::uint64_t circuit_hash;
-    FusionOptions fusion;  // the shared fusion-knob struct IS the key part
-    friend bool operator==(const Key&, const Key&) = default;
-  };
-  struct KeyHash {
-    std::size_t operator()(const Key& k) const {
-      // circuit_hash is already well mixed; fold the small params in.
-      return static_cast<std::size_t>(
-          k.circuit_hash ^ (std::uint64_t{k.fusion.max_fused_qubits} << 32) ^
-          k.fusion.window_moments);
-    }
-  };
   struct Entry {
-    Key key;
+    std::string key;  // identity bytes; index_ views this string
     std::shared_ptr<const FusionResult> fused;
     std::size_t approx_bytes;
   };
@@ -80,13 +71,13 @@ class FusedCircuitCache {
 
   // Shared lookup/build/insert path; `build` runs outside the lock on a miss.
   template <typename BuildFn>
-  std::shared_ptr<const FusionResult> get_or_build(const Key& key,
+  std::shared_ptr<const FusionResult> get_or_build(std::string key,
                                                    BuildFn&& build, bool* hit);
 
   mutable std::mutex mu_;
   std::size_t capacity_;
   std::list<Entry> lru_;  // front = most recently used
-  std::unordered_map<Key, std::list<Entry>::iterator, KeyHash> index_;
+  std::unordered_map<std::string_view, std::list<Entry>::iterator> index_;
   FusedCacheStats stats_;
 };
 

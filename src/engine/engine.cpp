@@ -34,25 +34,12 @@ constexpr std::size_t kFusedCacheCapacity = 128;
 // never consulted.
 constexpr std::size_t kMinTrajectoriesForStop = 8;
 
-void mix(std::uint64_t& h, std::uint64_t v) {
-  // FNV-1a over the value's bytes, same scheme as hash_circuit.
-  constexpr std::uint64_t kPrime = 0x100000001b3ull;
-  for (int i = 0; i < 8; ++i) {
-    h ^= (v >> (8 * i)) & 0xff;
-    h *= kPrime;
-  }
-}
-
-void app_u64(std::string& s, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) s.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-}
-
 void app_f64(std::string& s, double v) {
-  app_u64(s, std::bit_cast<std::uint64_t>(v));
+  append_word(s, std::bit_cast<std::uint64_t>(v));
 }
 
 void app_str(std::string& s, const std::string& v) {
-  app_u64(s, v.size());
+  append_word(s, v.size());
   s += v;
 }
 
@@ -140,59 +127,43 @@ const char* to_string(RequestKind kind) {
 
 std::string canonical_request_summary(const SimRequest& req) {
   std::string s;
-  s.reserve(64 + req.circuit.gates.size() * 96);
   app_str(s, req.backend);
-  app_u64(s, req.precision == Precision::kSingle ? 1 : 2);
-  app_u64(s, req.fusion.max_fused_qubits);
-  app_u64(s, req.fusion.window_moments);
-  app_u64(s, req.seed);
-  app_u64(s, req.num_samples);
-  app_u64(s, req.amplitude_indices.size());
-  for (index_t i : req.amplitude_indices) app_u64(s, static_cast<std::uint64_t>(i));
-  app_u64(s, req.want_state ? 1 : 0);
+  append_word(s, req.precision == Precision::kSingle ? 1 : 2);
+  append_word(s, req.fusion.max_fused_qubits);
+  append_word(s, req.fusion.window_moments);
+  append_word(s, req.seed);
+  append_word(s, req.num_samples);
+  append_word(s, req.amplitude_indices.size());
+  for (index_t i : req.amplitude_indices) {
+    append_word(s, static_cast<std::uint64_t>(i));
+  }
+  append_word(s, req.want_state ? 1 : 0);
   // Workload kind and its payloads (DESIGN.md §14): the noise channel's
   // Kraus matrices and the observable's strings are part of what the result
-  // is a function of, bit-exactly like the circuit matrices below.
-  app_u64(s, static_cast<std::uint64_t>(req.kind));
-  app_u64(s, req.num_trajectories);
+  // is a function of, bit-exactly like the circuit matrices.
+  append_word(s, static_cast<std::uint64_t>(req.kind));
+  append_word(s, req.num_trajectories);
   app_f64(s, req.trajectory_tolerance);
   app_str(s, req.noise.channel.name);
-  app_u64(s, req.noise.channel.ops.size());
+  append_word(s, req.noise.channel.ops.size());
   for (const CMatrix& k : req.noise.channel.ops) {
-    app_u64(s, k.dim());
+    append_word(s, k.dim());
     for (const cplx64& v : k.data()) {
       app_f64(s, v.real());
       app_f64(s, v.imag());
     }
   }
-  app_u64(s, req.observable.strings.size());
+  append_word(s, req.observable.strings.size());
   for (const obs::PauliString& p : req.observable.strings) {
     app_f64(s, p.coefficient.real());
     app_f64(s, p.coefficient.imag());
-    app_u64(s, p.terms.size());
+    append_word(s, p.terms.size());
     for (const obs::PauliTerm& t : p.terms) {
-      app_u64(s, t.qubit);
-      app_u64(s, static_cast<std::uint64_t>(t.op));
+      append_word(s, t.qubit);
+      append_word(s, static_cast<std::uint64_t>(t.op));
     }
   }
-  app_u64(s, req.circuit.num_qubits);
-  app_u64(s, req.circuit.gates.size());
-  for (const Gate& g : req.circuit.gates) {
-    app_u64(s, static_cast<std::uint64_t>(g.kind));
-    app_str(s, g.name);
-    app_u64(s, g.time);
-    app_u64(s, g.qubits.size());
-    for (qubit_t q : g.qubits) app_u64(s, q);
-    app_u64(s, g.controls.size());
-    for (qubit_t c : g.controls) app_u64(s, c);
-    app_u64(s, g.params.size());
-    for (double p : g.params) app_f64(s, p);
-    app_u64(s, g.matrix.dim());
-    for (const cplx64& v : g.matrix.data()) {
-      app_f64(s, v.real());
-      app_f64(s, v.imag());
-    }
-  }
+  append_circuit_identity(s, req.circuit);
   return s;
 }
 
@@ -205,12 +176,11 @@ struct SimulationEngine::Job {
   Timer queued;  // started at submit
   std::uint64_t corr = 0;       // request id = trace correlation id
   std::uint64_t submit_us = 0;  // trace timestamp of submit (Timer clock)
-  // Result-cache identity, set once the request passes validation: the
-  // summary's hash, the summary itself (collision guard), and the in-flight
-  // record this job owns — non-null iff it simulates a cacheable key, which
-  // finish() then publishes and memoizes.
-  std::uint64_t key = 0;
-  std::string summary;
+  // Result-cache identity (canonical_request_summary), set once a cacheable
+  // request passes validation, and the in-flight record this job owns —
+  // non-null iff it simulates that identity, which finish() then publishes
+  // and memoizes.
+  std::string identity;
   std::shared_ptr<Flight> flight;
   // Non-null for a trajectory sub-job: the worker runs sub-runs of this
   // batch instead of process() (the batch owns the request's job).
@@ -461,15 +431,6 @@ void SimulationEngine::settle(const Booking& booking, unsigned num_qubits,
                    booking.raw_seconds, observed_seconds);
 }
 
-std::uint64_t SimulationEngine::result_key(const std::string& summary) {
-  std::uint64_t h = 0xcbf29ce484222325ull;  // FNV-1a, like hash_circuit
-  for (const unsigned char c : summary) {
-    h ^= c;
-    h *= 0x100000001b3ull;
-  }
-  return h;
-}
-
 void SimulationEngine::count_fault(SimErrorCode code) {
   std::lock_guard lk(metrics_mu_);
   switch (code) {
@@ -663,22 +624,20 @@ void SimulationEngine::process(Job& job) {
         std::lock_guard lk(metrics_mu_);
         ++metrics_.expectation_requests;
       }
-      // One canonical summary per request: its hash is the result key and
-      // the bytes are the collision guard stored beside the cached result.
-      job.summary = canonical_request_summary(q);
-      job.key = result_key(job.summary);
       const bool cacheable =
           !q.bypass_result_cache && opt_.result_cache_capacity > 0;
       bool served = false;
       if (cacheable) {
+        // The request's canonical bytes are its cache key: every lookup
+        // compares the full identity.
+        job.identity = canonical_request_summary(q);
         std::unique_lock lk(results_mu_);
         for (;;) {
-          auto it = result_index_.find(job.key);
-          if (it != result_index_.end() &&
-              it->second->second.summary == job.summary) {
+          auto it = result_index_.find(job.identity);
+          if (it != result_index_.end()) {
             result_lru_.splice(result_lru_.begin(), result_lru_, it->second);
             const double queued = res.queue_seconds;
-            res = it->second->second.result;  // copy the cached payload
+            res = it->second->result;  // copy the cached payload
             res.result_cache_hit = true;
             res.queue_seconds = queued;
             res.run_seconds = 0;
@@ -687,22 +646,16 @@ void SimulationEngine::process(Job& job) {
             served = true;
             break;
           }
-          auto fit = in_flight_.find(job.key);
+          auto fit = in_flight_.find(job.identity);
           if (fit == in_flight_.end()) {
-            // We simulate this key; identical requests dequeued meanwhile
-            // wait below instead of duplicating the run (anti-stampede).
+            // We simulate this identity; identical requests dequeued
+            // meanwhile wait below instead of duplicating the run
+            // (anti-stampede).
             job.flight = std::make_shared<Flight>();
-            job.flight->summary = job.summary;
-            in_flight_.emplace(job.key, job.flight);
+            in_flight_.emplace(job.identity, job.flight);
             break;
           }
           std::shared_ptr<Flight> f = fit->second;
-          if (f->summary != job.summary) {
-            // 64-bit key collision with a different request mid-flight: wait
-            // it out, then re-examine (we never share its result).
-            results_cv_.wait(lk, [&] { return f->done; });
-            continue;
-          }
           results_cv_.wait(lk, [&] { return f->done; });
           if (!f->result.ok &&
               f->result.code == SimErrorCode::kDeadlineExceeded) {
@@ -774,9 +727,10 @@ void SimulationEngine::process(Job& job) {
             const auto load_of = [this](const BackendSpec& s) {
               return queued_load(s.to_string());
             };
-            std::uint64_t plan_key = hash_circuit(q.circuit);
-            mix(plan_key, q.precision == Precision::kSingle ? 1 : 2);
-            mix(plan_key, q.fusion.window_moments);
+            std::string plan_key;
+            append_word(plan_key, q.precision == Precision::kSingle ? 1 : 2);
+            append_word(plan_key, q.fusion.window_moments);
+            append_circuit_identity(plan_key, q.circuit);
             std::shared_ptr<const PlanChoice> hit;
             {
               std::lock_guard lk(plan_mu_);
@@ -798,7 +752,8 @@ void SimulationEngine::process(Job& job) {
                   load_of, opt_.max_qubits);
               std::lock_guard lk(plan_mu_);
               if (plan_cache_.size() >= 512) plan_cache_.clear();
-              plan_cache_[plan_key] = std::make_shared<const PlanChoice>(plan);
+              plan_cache_.insert_or_assign(
+                  std::move(plan_key), std::make_shared<const PlanChoice>(plan));
             }
             run_spec = plan.backend.to_string();
             run_fusion = plan.fusion;
@@ -866,17 +821,13 @@ void SimulationEngine::finish(Job& job, SimResult res) {
     std::lock_guard lk(results_mu_);
     job.flight->result = res;
     job.flight->done = true;
-    in_flight_.erase(job.key);
+    in_flight_.erase(job.identity);
     if (res.ok && approx_result_bytes(res) <= kMaxCachedResultBytes) {
-      auto it = result_index_.find(job.key);
-      if (it != result_index_.end()) {
-        result_lru_.erase(it->second);
-        result_index_.erase(it);
-      }
-      result_lru_.emplace_front(job.key, CacheEntry{job.summary, res});
-      result_index_[job.key] = result_lru_.begin();
+      // The owner held the flight, so no entry for this identity exists.
+      result_lru_.push_front(CacheEntry{std::move(job.identity), res});
+      result_index_.emplace(result_lru_.front().identity, result_lru_.begin());
       while (result_lru_.size() > opt_.result_cache_capacity) {
-        result_index_.erase(result_lru_.back().first);
+        result_index_.erase(result_lru_.back().identity);
         result_lru_.pop_back();
       }
     }

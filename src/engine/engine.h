@@ -6,7 +6,8 @@
 // service: requests are queued and executed by a small worker pool; fused
 // circuits come from an LRU FusedCircuitCache; state vectors come from each
 // backend's BufferPool; identical requests (same circuit, backend, fusion,
-// seed, outputs) can be served straight from a result cache, which is sound
+// seed, outputs) can be served straight from a result cache keyed on the
+// request's canonical bytes (canonical_request_summary), which is sound
 // because a simulation with a fixed seed is a pure function of the request.
 //
 // Requests on *different* backend instances run concurrently; calls into one
@@ -50,7 +51,9 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <thread>
+#include <unordered_map>
 #include <vector>
 
 #include "src/core/circuit.h"
@@ -109,7 +112,7 @@ struct SimRequest {
   std::string backend = "cpu";
   Precision precision = Precision::kSingle;
   // How to fuse — the same FusionOptions the FusedCircuitCache keys on and
-  // RunOptions carries. Ignored (planner-chosen) when backend is "auto".
+  // the CLIs carry. Ignored (planner-chosen) when backend is "auto".
   FusionOptions fusion;
   std::uint64_t seed = 1;
   std::size_t num_samples = 0;
@@ -305,11 +308,11 @@ struct EngineMetrics {
 };
 
 // Exact identity of a request's result: every field that affects the
-// simulation output, including the full per-gate circuit content (matrices
-// as bit-exact doubles). Two requests are interchangeable iff their
-// summaries are equal — the result cache keys on a hash of these bytes
-// (SimulationEngine::result_key) and verifies the summary on every hit, so
-// a hash collision can never serve another request's payload.
+// simulation output, ending with the circuit's append_circuit_identity bytes
+// (matrices as bit-exact doubles). Two requests are interchangeable iff their
+// summaries are equal. The result cache and the in-flight map key on these
+// bytes themselves, so a lookup compares the full identity and can never
+// serve another request's payload.
 std::string canonical_request_summary(const SimRequest& req);
 
 class SimulationEngine {
@@ -366,10 +369,6 @@ class SimulationEngine {
   // Perfetto trace JSON next to the kernel events.
   void export_metrics() const;
 
-  // The result-cache key: FNV-1a over canonical_request_summary bytes, so
-  // the key and the collision guard encode exactly the same fields.
-  static std::uint64_t result_key(const std::string& summary);
-
   // The Tracer front-ends should install where they would use opt_.tracer:
   // the flight recorder's capture sink when the recorder is enabled
   // (forwarding to opt_.tracer), opt_.tracer itself (possibly null)
@@ -405,13 +404,12 @@ class SimulationEngine {
   // engine-wide results_cv_ until done, then read the owner's result —
   // success or failure — directly (anti-stampede with failure propagation).
   struct Flight {
-    std::string summary;  // exact request identity (collision guard)
     bool done = false;
-    SimResult result;     // valid once done
+    SimResult result;  // valid once done
   };
 
   struct CacheEntry {
-    std::string summary;  // verified on every hit (collision guard)
+    std::string identity;  // canonical_request_summary; result_index_ views it
     SimResult result;
   };
 
@@ -492,13 +490,14 @@ class SimulationEngine {
   mutable std::mutex load_mu_;
   std::map<std::string, double> backend_load_s_;  // spec -> predicted seconds
 
-  // Plan memo for hot circuits: (circuit, precision, window) -> the planner's
-  // full candidate list. Raw predictions depend only on the workload, so a
-  // hit is re-scored with the *current* calibration and load
+  // Plan memo for hot circuits: (precision, window, circuit identity bytes)
+  // -> the planner's full candidate list. Raw predictions depend only on the
+  // workload, so a hit is re-scored with the *current* calibration and load
   // (Planner::rescore) — per-request planning cost drops from a fusion sweep
-  // to a hash plus a few map lookups, with no staleness.
+  // to one encoding plus a few map lookups, with no staleness.
   mutable std::mutex plan_mu_;
-  std::map<std::uint64_t, std::shared_ptr<const PlanChoice>> plan_cache_;
+  std::unordered_map<std::string, std::shared_ptr<const PlanChoice>>
+      plan_cache_;
 
   mutable std::mutex queue_mu_;
   std::condition_variable queue_cv_;
@@ -514,11 +513,12 @@ class SimulationEngine {
 
   mutable std::mutex results_mu_;
   std::condition_variable results_cv_;  // signals in-flight completions
-  std::list<std::pair<std::uint64_t, CacheEntry>> result_lru_;
-  std::map<std::uint64_t,
-           std::list<std::pair<std::uint64_t, CacheEntry>>::iterator>
+  // Result LRU (front = most recent) and its index, keyed on each request's
+  // canonical_request_summary bytes; the index views the entry's string.
+  std::list<CacheEntry> result_lru_;
+  std::unordered_map<std::string_view, std::list<CacheEntry>::iterator>
       result_index_;
-  std::map<std::uint64_t, std::shared_ptr<Flight>> in_flight_;
+  std::unordered_map<std::string, std::shared_ptr<Flight>> in_flight_;
 
   // Running counters, histograms, watchdog bookkeeping and per-stage
   // exemplars. metrics() copies this and fills the derived sections (fused

@@ -35,10 +35,9 @@ struct FusionOptions {
   // gates, which real fusers do not do). 0 = unlimited.
   unsigned window_moments = 4;
 
-  // The options are part of the fused-circuit cache key in src/engine: two
-  // fuse_circuit calls with equal inputs and equal options are
-  // interchangeable.
-  friend bool operator==(const FusionOptions&, const FusionOptions&) = default;
+  // Both fields are words of the fused-circuit cache key in src/engine,
+  // beside the circuit's identity bytes: two fuse_circuit calls with equal
+  // inputs and equal options are interchangeable.
 };
 
 struct FusionStats {

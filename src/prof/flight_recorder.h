@@ -56,7 +56,8 @@ struct RequestRecord {
   std::string kind;             // "circuit" / "expectation" / "trajectory"
   std::string backend;          // resolved backend spec, e.g. "hip" / "dist:2"
   std::string planner;          // planner choice detail ("" when not planned)
-  std::string outcome;          // "ok", "cache-hit", or the error-code string
+  std::string outcome;          // the request span's detail: "ok on cpu",
+                                // "ok: cache-hit", or the error-code string
   bool ok = false;
   bool cache_hit = false;
   std::uint32_t attempts = 0;

@@ -9,6 +9,7 @@
 #include "src/base/error.h"
 #include "src/core/gates.h"
 #include "src/engine/backend.h"
+#include "src/fusion/fuser.h"
 #include "src/hipsim/simulator_hip.h"
 #include "src/rqc/rqc.h"
 #include "src/simulator/simulator_cpu.h"
@@ -111,48 +112,53 @@ TEST(BackendFactory, IsBackendSpec) {
 // directly for the same backend kind, fusion setting, and seed.
 TEST(Backend, CpuMatchesLegacyShimBitExact) {
   const Circuit c = make_rqc(2, 3, 10, 11);
-  RunOptions opt;
-  opt.fusion.max_fused_qubits = 3;
-  opt.seed = 42;
-  opt.num_samples = 64;
+  FusionOptions fusion;
+  fusion.max_fused_qubits = 3;
+  BackendRunSpec rs;
+  rs.seed = 42;
+  rs.num_samples = 64;
 
   SimulatorCPU<float> sim;
   StateVector<float> state(c.num_qubits);
-  const FusionResult fused = fuse_circuit(c, opt.fusion);
+  const FusionResult fused = fuse_circuit(c, fusion);
   std::vector<index_t> legacy_meas;
-  sim.run(fused.circuit, state, opt.seed, &legacy_meas);
+  sim.run(fused.circuit, state, rs.seed, &legacy_meas);
   const auto legacy_samples =
-      statespace::sample(state, opt.num_samples, opt.seed);
+      statespace::sample(state, rs.num_samples, rs.seed);
 
+  // The backend path fuses on its own, as a one-shot caller would.
+  const FusionResult poly_fused = fuse_circuit(c, fusion);
   const auto backend = create_backend("cpu", Precision::kSingle);
-  const RunResult poly = run_circuit(*backend, c, opt);
+  const BackendRunOutput poly = backend->run(poly_fused.circuit, rs);
 
   ASSERT_EQ(legacy_samples.size(), poly.samples.size());
   EXPECT_EQ(legacy_samples, poly.samples);
   EXPECT_EQ(legacy_meas, poly.measurements);
-  EXPECT_EQ(fused.stats.output_gates, poly.fusion.output_gates);
+  EXPECT_EQ(fused.stats.output_gates, poly_fused.stats.output_gates);
 }
 
 TEST(Backend, HipMatchesLegacyShimBitExact) {
   const Circuit c = make_rqc(2, 3, 10, 11);
-  RunOptions opt;
-  opt.fusion.max_fused_qubits = 3;
-  opt.seed = 42;
-  opt.num_samples = 64;
+  FusionOptions fusion;
+  fusion.max_fused_qubits = 3;
+  BackendRunSpec rs;
+  rs.seed = 42;
+  rs.num_samples = 64;
 
   vgpu::Device dev(vgpu::mi250x_gcd());
   hipsim::SimulatorHIP<float> sim(dev);
   hipsim::DeviceStateVector<float> ds(dev, c.num_qubits);
   sim.state_space().set_zero_state(ds);
-  const Circuit fused = fuse_circuit(c, opt.fusion).circuit;
+  const Circuit fused = fuse_circuit(c, fusion).circuit;
   std::vector<index_t> legacy_meas;
-  sim.run(fused, ds, opt.seed, &legacy_meas);
+  sim.run(fused, ds, rs.seed, &legacy_meas);
   dev.synchronize();
   const auto legacy_samples =
-      sim.state_space().sample(ds, opt.num_samples, opt.seed);
+      sim.state_space().sample(ds, rs.num_samples, rs.seed);
 
   const auto backend = create_backend("hip", Precision::kSingle);
-  const RunResult poly = run_circuit(*backend, c, opt);
+  const BackendRunOutput poly =
+      backend->run(fuse_circuit(c, fusion).circuit, rs);
 
   EXPECT_EQ(legacy_samples, poly.samples);
   EXPECT_EQ(legacy_meas, poly.measurements);

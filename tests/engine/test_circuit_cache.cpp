@@ -1,5 +1,8 @@
-// FusedCircuitCache: structural hashing, LRU eviction, and hit accounting.
+// Circuit identity bytes (append_circuit_identity) and FusedCircuitCache:
+// LRU eviction and hit accounting.
 #include <gtest/gtest.h>
+
+#include <string>
 
 #include "src/core/gates.h"
 #include "src/engine/circuit_cache.h"
@@ -17,22 +20,33 @@ Circuit make_rqc(unsigned rows, unsigned cols, unsigned depth, std::uint64_t see
   return rqc::generate_rqc(opt);
 }
 
-TEST(HashCircuit, StableAndStructural) {
-  const Circuit a = make_rqc(2, 3, 8, 7);
-  const Circuit b = make_rqc(2, 3, 8, 7);   // same construction -> same hash
-  const Circuit c = make_rqc(2, 3, 8, 8);   // different seed -> different gates
-  EXPECT_EQ(hash_circuit(a), hash_circuit(b));
-  EXPECT_NE(hash_circuit(a), hash_circuit(c));
+std::string identity(const Circuit& c) {
+  std::string bytes;
+  append_circuit_identity(bytes, c);
+  return bytes;
 }
 
-TEST(HashCircuit, SensitiveToParams) {
+TEST(CircuitIdentity, StableAndStructural) {
+  const Circuit a = make_rqc(2, 3, 8, 7);
+  const Circuit b = make_rqc(2, 3, 8, 7);   // same construction -> same bytes
+  const Circuit c = make_rqc(2, 3, 8, 8);   // different seed -> different gates
+  EXPECT_EQ(identity(a), identity(b));
+  EXPECT_NE(identity(a), identity(c));
+
+  // Appends: existing bytes in the buffer are kept as a prefix.
+  std::string prefixed = "prefix";
+  append_circuit_identity(prefixed, a);
+  EXPECT_EQ(prefixed, "prefix" + identity(a));
+}
+
+TEST(CircuitIdentity, SensitiveToParams) {
   Circuit a;
   a.num_qubits = 2;
   a.gates.push_back(gates::rx(0, 0, 0.5));
   Circuit b;
   b.num_qubits = 2;
   b.gates.push_back(gates::rx(0, 0, 0.5000001));
-  EXPECT_NE(hash_circuit(a), hash_circuit(b));
+  EXPECT_NE(identity(a), identity(b));
 }
 
 TEST(FusedCircuitCache, HitReturnsSameFusion) {

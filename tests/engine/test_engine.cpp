@@ -2,11 +2,12 @@
 // requests, concurrent==serial on two backends, graceful rejection
 // (engine cap, device memory, deadlines, queue bound), metrics export, one
 // `request` span per completion, and the one request identity behind the
-// result-cache key.
+// result and fused-circuit cache keys.
 #include <gtest/gtest.h>
 
 #include <chrono>
 #include <cmath>
+#include <exception>
 #include <functional>
 #include <future>
 #include <limits>
@@ -19,7 +20,9 @@
 
 #include "src/core/gates.h"
 #include "src/engine/backend.h"
+#include "src/engine/circuit_cache.h"
 #include "src/engine/engine.h"
+#include "src/fusion/fuser.h"
 #include "src/noise/channels.h"
 #include "src/obs/observable.h"
 #include "src/prof/trace.h"
@@ -55,11 +58,13 @@ TEST(SimulationEngine, CacheHitIsBitIdenticalWithColdRun) {
 
   // Cold reference: a fresh backend with no engine in the loop.
   const auto cold_backend = create_backend("hip", Precision::kSingle);
-  RunOptions opt;
-  opt.fusion.max_fused_qubits = 3;
-  opt.seed = 42;
-  opt.num_samples = 32;
-  const RunResult cold = run_circuit(*cold_backend, c, opt);
+  FusionOptions fusion;
+  fusion.max_fused_qubits = 3;
+  BackendRunSpec rs;
+  rs.seed = 42;
+  rs.num_samples = 32;
+  const BackendRunOutput cold =
+      cold_backend->run(fuse_circuit(c, fusion).circuit, rs);
 
   SimulationEngine eng;
   const SimResult first = eng.run(request(c, "hip"));
@@ -472,10 +477,12 @@ TEST(SimulationEngine, EveryCompletionPathRecordsOneRequestSpan) {
   }
 }
 
-// The result-cache key is the hash of canonical_request_summary, so there is
-// one encoding of request identity: mutating any identity field moves both
-// the summary and the key, and the per-request knobs outside the identity
-// (deadline, cache bypass) move neither.
+// The result-cache key is canonical_request_summary itself, and its circuit
+// part is append_circuit_identity's bytes — what the fused cache and the plan
+// memo key on — so there is one encoding of request identity. Mutating any
+// identity field changes the summary, mutating any circuit field also misses
+// the fused cache (both keyspaces), and the per-request knobs outside the
+// identity (deadline, cache bypass) change neither.
 TEST(SimulationEngine, EveryIdentityFieldChangesSummaryAndKey) {
   Circuit c;
   c.num_qubits = 3;
@@ -487,15 +494,36 @@ TEST(SimulationEngine, EveryIdentityFieldChangesSummaryAndKey) {
   base.trajectory_tolerance = 0.125;
   base.observable.strings = {obs::pauli_zz(0, 1, 0.5)};
   const std::string s0 = canonical_request_summary(base);
-  const std::uint64_t k0 = SimulationEngine::result_key(s0);
   ASSERT_EQ(canonical_request_summary(base), s0);  // deterministic
+  std::string circuit_bytes;
+  append_circuit_identity(circuit_bytes, base.circuit);
+  ASSERT_LT(circuit_bytes.size(), s0.size());
+  EXPECT_EQ(s0.substr(s0.size() - circuit_bytes.size()), circuit_bytes);
+
+  // {fused hit, normalized hit} for `r` in a cache primed with `base`. A
+  // mutated circuit may not fuse; the hit flag is set before the build.
+  const auto fused_cache_hits = [&base](const SimRequest& r) {
+    FusedCircuitCache cache(4);
+    cache.get_or_fuse(base.circuit, base.fusion);
+    cache.get_or_normalize(base.circuit);
+    bool fused = true, normalized = true;
+    try {
+      cache.get_or_fuse(r.circuit, r.fusion, &fused);
+    } catch (const std::exception&) {
+    }
+    try {
+      cache.get_or_normalize(r.circuit, &normalized);
+    } catch (const std::exception&) {
+    }
+    return std::make_pair(fused, normalized);
+  };
 
   const auto nudge = [](cplx64& v) {
     const double up = std::numeric_limits<double>::infinity();
     v = cplx64(std::nextafter(v.real(), up), v.imag());
   };
   using Mutation = std::pair<const char*, std::function<void(SimRequest&)>>;
-  const std::vector<Mutation> identity = {
+  const std::vector<Mutation> circuit_fields = {
       {"gate kind",
        [](SimRequest& r) { r.circuit.gates[1].kind = GateKind::kMeasurement; }},
       {"gate name", [](SimRequest& r) { r.circuit.gates[1].name = "x"; }},
@@ -508,6 +536,8 @@ TEST(SimulationEngine, EveryIdentityFieldChangesSummaryAndKey) {
        [&](SimRequest& r) { nudge(r.circuit.gates[1].matrix.data()[0]); }},
       {"gate count", [](SimRequest& r) { r.circuit.gates.pop_back(); }},
       {"num_qubits", [](SimRequest& r) { ++r.circuit.num_qubits; }},
+  };
+  const std::vector<Mutation> request_fields = {
       {"backend", [](SimRequest& r) { r.backend = "hip"; }},
       {"precision", [](SimRequest& r) { r.precision = Precision::kDouble; }},
       {"fusion.max_fused_qubits",
@@ -545,12 +575,19 @@ TEST(SimulationEngine, EveryIdentityFieldChangesSummaryAndKey) {
       {"observable string count",
        [](SimRequest& r) { r.observable.strings.push_back(obs::pauli_z(2)); }},
   };
-  for (const auto& [what, mutate] : identity) {
+  for (const auto* fields : {&circuit_fields, &request_fields}) {
+    for (const auto& [what, mutate] : *fields) {
+      SimRequest other = base;
+      mutate(other);
+      EXPECT_NE(canonical_request_summary(other), s0) << what;
+    }
+  }
+  for (const auto& [what, mutate] : circuit_fields) {
     SimRequest other = base;
     mutate(other);
-    const std::string s = canonical_request_summary(other);
-    EXPECT_NE(s, s0) << what;
-    EXPECT_NE(SimulationEngine::result_key(s), k0) << what;
+    const auto [fused, normalized] = fused_cache_hits(other);
+    EXPECT_FALSE(fused) << what;
+    EXPECT_FALSE(normalized) << what;
   }
 
   const std::vector<Mutation> not_identity = {
@@ -561,9 +598,10 @@ TEST(SimulationEngine, EveryIdentityFieldChangesSummaryAndKey) {
   for (const auto& [what, mutate] : not_identity) {
     SimRequest other = base;
     mutate(other);
-    const std::string s = canonical_request_summary(other);
-    EXPECT_EQ(s, s0) << what;
-    EXPECT_EQ(SimulationEngine::result_key(s), k0) << what;
+    EXPECT_EQ(canonical_request_summary(other), s0) << what;
+    const auto [fused, normalized] = fused_cache_hits(other);
+    EXPECT_TRUE(fused) << what;
+    EXPECT_TRUE(normalized) << what;
   }
 }
 

@@ -210,8 +210,8 @@ TEST(EngineFaults, CanonicalSummaryDistinguishesRequests) {
   other = base;
   other.want_state = true;
   EXPECT_NE(canonical_request_summary(other), s0);
-  // A one-ulp nudge in one matrix entry must change the identity — this is
-  // exactly the payload an FNV collision could otherwise smuggle through.
+  // A one-ulp nudge in one matrix entry must change the identity: it is the
+  // smallest change to a circuit, and every engine cache compares these bytes.
   other = base;
   cplx64& entry = other.circuit.gates[0].matrix.data()[0];
   entry = cplx64(std::nextafter(entry.real(),

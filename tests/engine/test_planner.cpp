@@ -1,10 +1,12 @@
 // Placement planner: golden decisions from the raw rooflines, online
 // calibration (backend-level and fusion-level reordering), load-aware
 // rescoring, option validation, and the engine's "auto" path — bit-identity
-// with the explicitly-routed equivalent, planner counters, and the
-// num_workers=0 clamp.
+// with the explicitly-routed equivalent, planner counters, the plan memo's
+// circuit identity, and the num_workers=0 clamp.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -13,6 +15,7 @@
 #include "src/engine/planner.h"
 #include "src/fusion/fuser.h"
 #include "src/perfmodel/workload.h"
+#include "src/prof/trace.h"
 #include "src/rqc/rqc.h"
 
 namespace qhip::engine {
@@ -227,6 +230,42 @@ TEST(SimulationEngine, AutoDecisionsCountedInMetricsAndProm) {
             std::string::npos);
   EXPECT_NE(prom.find("qhip_engine_planner_calibration{backend="),
             std::string::npos);
+}
+
+// The plan memo keys on the circuit's identity bytes: the same circuit with
+// one matrix entry moved by one ulp is another circuit and plans afresh, and
+// the original still finds its memoized plan afterwards.
+TEST(SimulationEngine, PlanMemoKeysOnCircuitIdentity) {
+  const Circuit a = make_rqc(2, 3, 8, 5);
+  Circuit nudged = a;
+  cplx64& entry = nudged.gates[0].matrix.data()[0];  // unshares from `a`
+  entry = cplx64(std::nextafter(entry.real(), 2.0), entry.imag());
+
+  Tracer tracer;
+  EngineOptions opt;
+  opt.tracer = &tracer;
+  opt.planner_candidates = {"cpu", "hip"};
+  SimulationEngine eng(opt);
+  std::vector<std::uint64_t> ids;
+  for (const Circuit* c : std::vector<const Circuit*>{&a, &nudged, &a}) {
+    SimRequest req = auto_request(*c);
+    req.bypass_result_cache = true;  // every request reaches the planner
+    const SimResult r = eng.run(req);
+    ASSERT_TRUE(r.ok) << r.error;
+    ids.push_back(r.request_id);
+  }
+
+  std::map<std::uint64_t, std::string> plan_detail;
+  for (const TraceEvent& e : tracer.events()) {
+    if (e.name == "plan") plan_detail[e.corr] = e.detail;
+  }
+  ASSERT_EQ(plan_detail.size(), 3u);
+  EXPECT_EQ(plan_detail[ids[0]].find(", cached"), std::string::npos)
+      << plan_detail[ids[0]];
+  EXPECT_EQ(plan_detail[ids[1]].find(", cached"), std::string::npos)
+      << plan_detail[ids[1]];
+  EXPECT_NE(plan_detail[ids[2]].find(", cached)"), std::string::npos)
+      << plan_detail[ids[2]];
 }
 
 TEST(SimulationEngine, BadPlannerCandidateListThrows) {
